@@ -12,14 +12,13 @@ from .errors import (DataError, DomainError, NumericError, QuantmeuError,
                      ShapeError, SimulationError, SingularDesignError)
 from .special import normal_cdf, normal_quantile
 from ._kernels import backend
-from .net import (DenseNet, GradCheckResult, OptimizerState, TrainConfig,
-                  TrainHistory, backward, forward, grad_check, load_net,
-                  net_from_document, net_to_document, optimizer_step,
-                  pinball_loss, save_net, train)
+from .net import (DenseNet, GradCheckResult, TrainConfig, TrainHistory,
+                  backward, forward, grad_check, load_net, net_from_document,
+                  net_to_document, pinball_loss, save_net, train)
 from .models import (LinearSummary, ModelSpec, NormalNormalModel,
                      PortfolioProblem, RandomSource, UtilitySpec,
                      cara_utility, learn_summary_ols, portfolio_wealth,
-                     simulate_pairs, simulate_portfolio_table, summary_mean)
+                     simulate_pairs, summary_mean)
 from .tables import TrainingTable
 from .engine import (OptimizationResult, QuantileNet, build_training_table,
                      compose_utility_samples, expected_utility,

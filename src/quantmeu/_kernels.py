@@ -1,17 +1,8 @@
 """Batch forward/backward kernels for the dense ReLU network.
 
-Two interchangeable implementations of the same math:
-
-* a numba ``@njit`` version that runs the layer matmuls through BLAS and
-  fuses the bias/ReLU/pinball elementwise work into the same compiled
-  function (default when numba is importable), and
-* a vectorised pure-numpy fallback.
-
-Set ``QUANTMEU_DISABLE_NUMBA=1`` before import to force the numpy path.
-The selected backend is reported by :func:`backend`. Both paths use the
-same subgradient conventions (ReLU'(0) = 0, pinball'(0) = tau) and agree
-to floating-point roundoff; ``benchmarks/bench_kernels.py`` times them
-against each other.
+One vectorised numpy implementation. The layer matmuls run through BLAS;
+bias, ReLU and the pinball loss are elementwise numpy operations.
+Subgradient conventions: ReLU'(0) = 0 and pinball'(0) = tau.
 
 Parameters are stored as one flat float64 vector: for each layer, the
 weight matrix in row-major (out, in) order followed by the bias vector.
@@ -19,27 +10,12 @@ weight matrix in row-major (out, in) order followed by the bias vector.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-DISABLE_ENV = "QUANTMEU_DISABLE_NUMBA"
-
-_disabled = os.environ.get(DISABLE_ENV, "").strip().lower() in {"1", "true", "yes", "on"}
-
-try:
-    from numba import njit as _njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAS_NUMBA = False
-
-USE_NUMBA = HAS_NUMBA and not _disabled
 
 
 def backend() -> str:
-    """Name of the kernel backend selected at import time."""
-    return "numba" if USE_NUMBA else "numpy"
+    """Name of the kernel backend."""
+    return "numpy"
 
 
 def layer_offsets(layer_sizes):
@@ -56,10 +32,6 @@ def layer_offsets(layer_sizes):
             off)
 
 
-# ---------------------------------------------------------------------------
-# numpy implementations (always available)
-# ---------------------------------------------------------------------------
-
 def _layer_views(params, sizes, w_offs, b_offs):
     for l in range(len(sizes) - 1):
         din, dout = sizes[l], sizes[l + 1]
@@ -68,7 +40,7 @@ def _layer_views(params, sizes, w_offs, b_offs):
         yield w, b
 
 
-def forward_batch_numpy(params, sizes, w_offs, b_offs, X):
+def forward_batch(params, sizes, w_offs, b_offs, X):
     n_layers = len(sizes) - 1
     a = X
     for l, (w, b) in enumerate(_layer_views(params, sizes, w_offs, b_offs)):
@@ -77,7 +49,7 @@ def forward_batch_numpy(params, sizes, w_offs, b_offs, X):
     return a[:, 0]
 
 
-def loss_grad_batch_numpy(params, sizes, w_offs, b_offs, X, y, tau):
+def loss_grad_batch(params, sizes, w_offs, b_offs, X, y, tau):
     n = X.shape[0]
     n_layers = len(sizes) - 1
     layers = list(_layer_views(params, sizes, w_offs, b_offs))
@@ -109,122 +81,3 @@ def loss_grad_batch_numpy(params, sizes, w_offs, b_offs, X, y, tau):
         if l > 0:
             delta = (delta @ w) * (zs[l - 1] > 0.0)
     return loss, grad
-
-
-# ---------------------------------------------------------------------------
-# numba implementations (compiled lazily on first call)
-# ---------------------------------------------------------------------------
-
-if HAS_NUMBA:
-
-    @_njit(cache=True)
-    def _forward_batch_nb(params, sizes, w_offs, b_offs, X, out):
-        n = X.shape[0]
-        n_layers = sizes.shape[0] - 1
-        a = X
-        for l in range(n_layers):
-            din = sizes[l]
-            dout = sizes[l + 1]
-            w = params[w_offs[l]:w_offs[l] + dout * din].reshape(dout, din)
-            z = np.dot(a, w.T)
-            bo = b_offs[l]
-            if l < n_layers - 1:
-                for i in range(n):
-                    for j in range(dout):
-                        v = z[i, j] + params[bo + j]
-                        z[i, j] = v if v > 0.0 else 0.0
-            else:
-                for i in range(n):
-                    for j in range(dout):
-                        z[i, j] = z[i, j] + params[bo + j]
-            a = z
-        for i in range(n):
-            out[i] = a[i, 0]
-
-    @_njit(cache=True)
-    def _loss_grad_batch_nb(params, sizes, w_offs, b_offs, X, y, tau, grad):
-        n = X.shape[0]
-        n_layers = sizes.shape[0] - 1
-        acts = [X]
-        zs = []
-        a = X
-        for l in range(n_layers):
-            din = sizes[l]
-            dout = sizes[l + 1]
-            w = params[w_offs[l]:w_offs[l] + dout * din].reshape(dout, din)
-            z = np.dot(a, w.T)
-            bo = b_offs[l]
-            for i in range(n):
-                for j in range(dout):
-                    z[i, j] += params[bo + j]
-            zs.append(z)
-            if l < n_layers - 1:
-                anew = np.empty_like(z)
-                for i in range(n):
-                    for j in range(dout):
-                        v = z[i, j]
-                        anew[i, j] = v if v > 0.0 else 0.0
-            else:
-                anew = z
-            acts.append(anew)
-            a = anew
-
-        loss = 0.0
-        delta = np.empty((n, 1))
-        inv = 1.0 / n
-        for i in range(n):
-            e = y[i] - acts[n_layers][i, 0]
-            t = tau[i]
-            if e < 0.0:
-                loss += (t - 1.0) * e
-                delta[i, 0] = (1.0 - t) * inv
-            else:
-                loss += t * e
-                delta[i, 0] = -t * inv
-
-        for l in range(n_layers - 1, -1, -1):
-            din = sizes[l]
-            dout = sizes[l + 1]
-            wo = w_offs[l]
-            bo = b_offs[l]
-            gw = np.dot(delta.T, acts[l])
-            for j in range(dout):
-                base = wo + j * din
-                for k in range(din):
-                    grad[base + k] = gw[j, k]
-                s = 0.0
-                for i in range(n):
-                    s += delta[i, j]
-                grad[bo + j] = s
-            if l > 0:
-                w = params[wo:wo + dout * din].reshape(dout, din)
-                dprev = np.dot(delta, w)
-                zprev = zs[l - 1]
-                for i in range(n):
-                    for k in range(din):
-                        if zprev[i, k] <= 0.0:
-                            dprev[i, k] = 0.0
-                delta = dprev
-        return loss * inv
-
-    def forward_batch_numba(params, sizes, w_offs, b_offs, X):
-        out = np.empty(X.shape[0])
-        _forward_batch_nb(params, sizes, w_offs, b_offs, X, out)
-        return out
-
-    def loss_grad_batch_numba(params, sizes, w_offs, b_offs, X, y, tau):
-        grad = np.empty_like(params)
-        loss = _loss_grad_batch_nb(params, sizes, w_offs, b_offs, X, y, tau, grad)
-        return loss, grad
-
-else:
-    forward_batch_numba = None
-    loss_grad_batch_numba = None
-
-
-if USE_NUMBA:
-    forward_batch = forward_batch_numba
-    loss_grad_batch = loss_grad_batch_numba
-else:
-    forward_batch = forward_batch_numpy
-    loss_grad_batch = loss_grad_batch_numpy

@@ -97,7 +97,12 @@ def _load_config(args) -> ExperimentConfig:
         doc.setdefault("simulate", {})["grid_size"] = args.grid
         doc.setdefault("optimize", {})["grid_size"] = args.grid
     out = getattr(args, "out", None) or "."
-    return ExperimentConfig.from_dict(doc, out=out)
+    cfg = ExperimentConfig.from_dict(doc, out=out)
+    for section in ("simulate", "optimize"):
+        grid_size = int(getattr(cfg, section).get("grid_size", 101))
+        if grid_size < 2:
+            raise UsageError(f"--grid or {section}.grid_size must be >= 2, got {grid_size}")
+    return cfg
 
 
 def _ensure_outdir(cfg: ExperimentConfig) -> str:
@@ -228,8 +233,10 @@ def cmd_optimize(args) -> int:
 
 def cmd_eu(args) -> int:
     cfg = _load_config(args)
-    qnet = _load_quantile_net(args.net, args.role)
     M = args.m if args.m is not None else int(cfg.eu.get("M", 1024))
+    if M < 2:
+        raise UsageError(f"M must be >= 2, got {M}")
+    qnet = _load_quantile_net(args.net, args.role)
     scheme = args.scheme or cfg.eu.get("scheme", "uniform_grid")
     rng = _sim_rng(cfg).substream(7) if scheme == "random" else None
     if qnet.role == "utility":

@@ -254,26 +254,3 @@ def portfolio_wealth(weight, R, risk_free):
     """Terminal wealth (1-weight)*risk_free + weight*R."""
     return (1.0 - weight) * risk_free + weight * R
 
-
-def simulate_portfolio_table(problem: PortfolioProblem, grid, draws_per_weight: int,
-                             rng: RandomSource):
-    """Simulate (weight, utility) rows over a grid of portfolio weights.
-
-    For each grid weight, draws_per_weight returns are drawn and pushed
-    through wealth and CARA utility.
-    """
-    grid = np.asarray(grid, dtype=np.float64).reshape(-1)
-    if grid.size == 0:
-        raise DataError("weight grid must be nonempty")
-    lo, hi = problem.weight_domain
-    if np.any(grid < lo) or np.any(grid > hi):
-        raise DomainError(f"grid leaves the weight domain [{lo}, {hi}]")
-    if draws_per_weight < 1:
-        raise ValueError("draws_per_weight must be >= 1")
-    out = []
-    for w in grid:
-        R = rng.normal(draws_per_weight, mean=problem.return_mean, sd=problem.return_sd)
-        Z = cara_utility(portfolio_wealth(w, R, problem.risk_free),
-                         problem.risk_aversion)
-        out.extend((float(w), float(z)) for z in Z)
-    return out

@@ -132,16 +132,6 @@ class DenseNet:
                                      self._b_offs, np.ascontiguousarray(Xs))
         return raw * self.y_scale + self.y_mean
 
-    def copy_with(self, params=None, **updates) -> "DenseNet":
-        kw = dict(layer_sizes=self.layer_sizes,
-                  params=self.params.copy() if params is None else params,
-                  x_mean=self.x_mean.copy(), x_scale=self.x_scale.copy(),
-                  y_mean=self.y_mean, y_scale=self.y_scale,
-                  scale_fallback=self.scale_fallback,
-                  init_seed=self.init_seed, train_config=self.train_config)
-        kw.update(updates)
-        return DenseNet(**kw)
-
 
 def forward(net: DenseNet, x) -> float:
     """Scalar evaluation of the net at one input vector."""
@@ -183,40 +173,6 @@ def backward(net: DenseNet, X, y, tau):
     X, y, tau = _check_batch(net, X, y, tau)
     return _kernels.loss_grad_batch(net.params, net._sizes, net._w_offs,
                                     net._b_offs, X, y, tau)
-
-
-@dataclass
-class OptimizerState:
-    """Adam accumulators; shapes mirror the flat parameter vector."""
-
-    m: np.ndarray
-    v: np.ndarray
-    step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-
-    @classmethod
-    def zeros(cls, n_params: int, config: TrainConfig = None):
-        c = config or TrainConfig()
-        return cls(m=np.zeros(n_params), v=np.zeros(n_params),
-                   beta1=c.beta1, beta2=c.beta2, epsilon=c.epsilon)
-
-
-def optimizer_step(state: OptimizerState, net: DenseNet, grads, learning_rate=1e-3):
-    """One bias-corrected Adam update; returns (new net, new state)."""
-    grads = np.asarray(grads, dtype=np.float64)
-    if grads.shape != net.params.shape or state.m.shape != net.params.shape:
-        raise ShapeError("gradient/state shapes must match the parameter vector")
-    t = state.step + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grads * grads
-    m_hat = m / (1.0 - state.beta1 ** t)
-    v_hat = v / (1.0 - state.beta2 ** t)
-    params = net.params - learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
-    new_state = OptimizerState(m=m, v=v, step=t, beta1=state.beta1,
-                               beta2=state.beta2, epsilon=state.epsilon)
-    return net.copy_with(params=params), new_state
 
 
 def _adam_update_inplace(params, m, v, t, grads, lr, b1, b2, eps):

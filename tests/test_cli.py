@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from quantmeu import TrainingTable, load_net
+from quantmeu import DenseNet, TrainingTable, load_net, save_net
 from quantmeu.cli import main
 
 
@@ -239,3 +239,18 @@ def test_unknown_command_is_usage_error():
 def test_bad_seed_rejected(tmp_path):
     assert main(["simulate", "--preset", "normal-normal", "--n", "10",
                  "--seed", "-1", "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--preset", "portfolio", "--n", "10", "--grid", "0"],
+    ["repro", "portfolio", "--structural", "--grid", "1"],
+    ["optimize", "--net", "{net}", "--grid", "1"],
+    ["eu", "--net", "{net}", "--decision", "0.4", "--m", "1"],
+], ids=["simulate-grid0", "repro-grid1", "optimize-grid1", "eu-m1"])
+def test_too_small_grid_or_m_is_usage_error(tmp_path, capsys, argv):
+    net_path = tmp_path / "net.json"
+    save_net(DenseNet.initialized((2, 8, 1), seed=0), net_path)
+    argv = [a.format(net=net_path) for a in argv] + ["--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")

@@ -1,12 +1,8 @@
-"""Batch kernels: layout, per-sample oracle, and numba/numpy agreement.
+"""Batch kernels: layout, per-sample oracle, and finite-difference gradients.
 
 Oracle: a pure-Python per-unit forward pass and the pinball-loss formula
 written out directly, so neither depends on the vectorised kernels.
 """
-
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -65,59 +61,31 @@ def test_layer_offsets_layout():
 @pytest.mark.parametrize("sizes", [(2, 5, 1), (3, 16, 8, 1), (1, 4, 4, 4, 1)])
 def test_forward_numpy_matches_manual(sizes):
     sz, w_offs, b_offs, params, X, y, tau = make_case(7, sizes, 23)
-    got = K.forward_batch_numpy(params, sz, w_offs, b_offs, X)
+    got = K.forward_batch(params, sz, w_offs, b_offs, X)
     expected = manual_forward(sz, w_offs, b_offs, params, X)
     np.testing.assert_allclose(got, expected, rtol=1e-12)
 
 
 def test_loss_numpy_matches_manual():
     sz, w_offs, b_offs, params, X, y, tau = make_case(11, (3, 16, 8, 1), 41)
-    loss, _ = K.loss_grad_batch_numpy(params, sz, w_offs, b_offs, X, y, tau)
-    pred = K.forward_batch_numpy(params, sz, w_offs, b_offs, X)
+    loss, _ = K.loss_grad_batch(params, sz, w_offs, b_offs, X, y, tau)
+    pred = K.forward_batch(params, sz, w_offs, b_offs, X)
     assert loss == pytest.approx(manual_pinball(pred, y, tau), rel=1e-12)
 
 
 def test_grad_numpy_matches_finite_differences():
     sz, w_offs, b_offs, params, X, y, tau = make_case(13, (2, 8, 1), 17)
-    _, grad = K.loss_grad_batch_numpy(params, sz, w_offs, b_offs, X, y, tau)
+    _, grad = K.loss_grad_batch(params, sz, w_offs, b_offs, X, y, tau)
     eps = 1e-6
     for i in range(0, len(params), 5):
         p = params.copy()
         p[i] += eps
-        lp, _ = K.loss_grad_batch_numpy(p, sz, w_offs, b_offs, X, y, tau)
+        lp, _ = K.loss_grad_batch(p, sz, w_offs, b_offs, X, y, tau)
         p[i] -= 2 * eps
-        lm, _ = K.loss_grad_batch_numpy(p, sz, w_offs, b_offs, X, y, tau)
+        lm, _ = K.loss_grad_batch(p, sz, w_offs, b_offs, X, y, tau)
         fd = (lp - lm) / (2 * eps)
         assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
-@pytest.mark.skipif(not K.HAS_NUMBA, reason="numba unavailable")
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_numba_matches_numpy(seed):
-    sz, w_offs, b_offs, params, X, y, tau = make_case(seed, (3, 16, 8, 1), 37)
-    f_np = K.forward_batch_numpy(params, sz, w_offs, b_offs, X)
-    f_nb = K.forward_batch_numba(params, sz, w_offs, b_offs, X)
-    np.testing.assert_array_equal(f_np, f_nb)
-    l_np, g_np = K.loss_grad_batch_numpy(params, sz, w_offs, b_offs, X, y, tau)
-    l_nb, g_nb = K.loss_grad_batch_numba(params, sz, w_offs, b_offs, X, y, tau)
-    # summation order differs between the two paths, so agreement is only
-    # up to accumulated rounding
-    assert l_np == pytest.approx(l_nb, rel=1e-12)
-    np.testing.assert_allclose(g_np, g_nb, rtol=1e-9, atol=1e-13)
-
-
 def test_backend_reports_active_path():
-    assert K.backend() in ("numba", "numpy")
-    assert (K.backend() == "numba") == K.USE_NUMBA
-
-
-def test_disable_flag_selects_numpy_path():
-    env = dict(os.environ)
-    env[K.DISABLE_ENV] = "1"
-    code = ("from quantmeu import _kernels as K; "
-            "print(K.backend()); "
-            "assert K.forward_batch is K.forward_batch_numpy")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "numpy"
+    assert K.backend() == "numpy"

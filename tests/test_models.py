@@ -7,8 +7,7 @@ import pytest
 
 from quantmeu import (LinearSummary, NormalNormalModel, PortfolioProblem,
                       RandomSource, cara_utility, learn_summary_ols,
-                      portfolio_wealth, simulate_pairs,
-                      simulate_portfolio_table, summary_mean)
+                      portfolio_wealth, simulate_pairs, summary_mean)
 from quantmeu.errors import (DataError, DomainError, NumericError, ShapeError,
                              SimulationError, SingularDesignError)
 
@@ -179,22 +178,3 @@ def test_utility_spec_evaluates_cara_of_wealth():
     expected = cara_utility(portfolio_wealth(w, r, 0.05), 2.0)
     assert spec.evaluate(w, r) == pytest.approx(expected)
     assert spec.decision_domain == (0.0, 1.0)
-
-
-def test_simulate_portfolio_table_layout():
-    p = PortfolioProblem()
-    grid = [0.0, 0.5, 1.0]
-    rows = simulate_portfolio_table(p, grid, 4, RandomSource(0))
-    assert len(rows) == 12
-    assert [w for w, _ in rows] == [0.0] * 4 + [0.5] * 4 + [1.0] * 4
-    assert all(z < 0.0 for _, z in rows)
-
-
-def test_simulate_portfolio_table_guards():
-    p = PortfolioProblem()
-    with pytest.raises(DomainError):
-        simulate_portfolio_table(p, [1.5], 2, RandomSource(0))
-    with pytest.raises(DataError):
-        simulate_portfolio_table(p, [], 2, RandomSource(0))
-    with pytest.raises(ValueError):
-        simulate_portfolio_table(p, [0.5], 0, RandomSource(0))
