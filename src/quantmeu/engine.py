@@ -23,6 +23,7 @@ from .net import DenseNet, TrainConfig
 from .tables import TrainingTable
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_BLOCK_UNIFORMS = 2 ** 16   # bounds the memory of one block's forward draws
 
 
 @dataclass
@@ -73,10 +74,11 @@ def build_training_table(model: ModelSpec, utility: Optional[UtilitySpec] = None
                          sorted_pairing: bool = False) -> TrainingTable:
     """Simulate N rows of (theta, summary[, decision, utility], tau).
 
-    Each row gets an independent tau ~ U(0,1). With a utility present the
+    Rows are simulated in blocks of at most _BLOCK_UNIFORMS uniforms; then
+    each row gets an independent tau ~ U(0,1). With a utility present the
     decision grid is cycled so every decision receives an equal share of
     rows. When sorted_pairing is on, rows sharing a conditioning value
-    (the decision when utility is present, otherwise the summary) have
+    (the decision when utility is present, otherwise the summary row) have
     their taus re-paired so ranks of tau match ranks of the target.
     """
     if N < 1:
@@ -84,12 +86,6 @@ def build_training_table(model: ModelSpec, utility: Optional[UtilitySpec] = None
     if utility is not None and decisions is None:
         raise DataError("a decision grid is required when a utility is supplied")
     rng = rng or RandomSource()
-
-    pairs = simulate_pairs(model, N, rng)
-    theta = np.array([p[0] for p in pairs])
-    summary = np.array([np.atleast_1d(model.summary(p[1])) for p in pairs],
-                       dtype=np.float64)
-    tau = rng.uniform(N)
 
     decision = None
     utility_col = None
@@ -102,31 +98,44 @@ def build_training_table(model: ModelSpec, utility: Optional[UtilitySpec] = None
             raise DomainError("decision grid leaves the declared domain")
         decision = grid[np.arange(N) % grid.size]
         utility_col = np.empty(N)
-        for i in range(N):
-            try:
-                u = float(utility.evaluate(decision[i], theta[i]))
-            except Exception as exc:
-                raise SimulationError(f"utility evaluation failed at row {i}: {exc}",
-                                      index=i) from exc
-            if not math.isfinite(u):
-                raise SimulationError(f"utility at row {i} is non-finite", index=i)
-            utility_col[i] = u
+
+    theta = np.empty(N)
+    summary = None
+    block = max(1, _BLOCK_UNIFORMS // model.draws)
+    for start in range(0, N, block):
+        rows = slice(start, min(start + block, N))
+        n = rows.stop - start
+        try:
+            theta[rows], Y = simulate_pairs(model, n, rng)
+        except SimulationError as exc:
+            raise SimulationError(exc.args[0], index=start + (exc.index or 0)) from exc
+        s = np.asarray(model.summary(Y), dtype=np.float64)
+        if s.ndim not in (1, 2) or s.shape[0] != n:
+            raise ShapeError(f"summary of {n} rows returned shape {s.shape}")
+        if summary is None:
+            summary = np.empty((N, s.size // n))
+        summary[rows] = s.reshape(n, -1)
+        if utility is None:
+            continue
+        try:
+            u = np.asarray(utility.evaluate(decision[rows], theta[rows]), dtype=np.float64)
+        except Exception as exc:
+            raise SimulationError(f"utility evaluation failed: {exc}", index=start) from exc
+        if u.shape != (n,):
+            raise SimulationError(f"utility returned shape {u.shape}", index=start)
+        if not np.all(np.isfinite(u)):
+            raise SimulationError("utility is non-finite",
+                                  index=start + int(np.argmin(np.isfinite(u))))
+        utility_col[rows] = u
+    tau = rng.uniform(N)
 
     if sorted_pairing:
         if utility is not None:
-            keys = decision
-            target = utility_col
+            keys, target = (decision,), utility_col
         else:
-            keys = summary[:, 0] if summary.shape[1] == 1 else [tuple(r) for r in summary]
-            target = theta
-        keys = np.asarray(keys) if not isinstance(keys, list) else np.array(
-            keys, dtype=object)
-        for key in np.unique(keys) if keys.dtype != object else set(keys.tolist()):
-            idx = np.nonzero(keys == key)[0]
-            if idx.size < 2:
-                continue
-            order = np.argsort(target[idx], kind="stable")
-            tau[idx[order]] = np.sort(tau[idx])
+            keys, target = tuple(summary.T), theta
+        # in each run of equal keys the k-th smallest target gets the k-th smallest tau
+        tau[np.lexsort((target,) + keys)] = tau[np.lexsort((tau,) + keys)]
 
     provenance = {"model": model.name, "N": int(N), "seed": int(rng.seed),
                   "stream": int(rng.stream), "sorted_pairing": bool(sorted_pairing)}
@@ -211,9 +220,8 @@ def compose_utility_samples(H: QuantileNet, utility: UtilitySpec, d: float,
     if taus.size == 0:
         raise DataError("tau grid must be nonempty")
     theta = posterior_sample(H, y_obs, summary=summary, taus=taus)
-    out = np.empty(taus.size)
-    for i, th in enumerate(theta):
-        out[i] = float(utility.evaluate(d, th))
+    out = np.asarray(utility.evaluate(np.full(theta.shape, float(d)), theta),
+                     dtype=np.float64)
     if not np.all(np.isfinite(out)):
         raise NumericError("composed utility produced non-finite values")
     return out

@@ -20,12 +20,16 @@ class DataError(QuantmeuError, ValueError):
 class SimulationError(QuantmeuError, RuntimeError):
     """A sampler or utility evaluation produced a non-finite value.
 
-    Carries the offending row index when known.
+    Carries the offending row index when known; the message names it.
     """
 
     def __init__(self, message, index=None):
         super().__init__(message)
         self.index = index
+
+    def __str__(self):
+        message = super().__str__()
+        return message if self.index is None else f"{message} at row {self.index}"
 
 
 class SingularDesignError(QuantmeuError, ValueError):

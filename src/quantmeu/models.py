@@ -77,17 +77,20 @@ class RandomSource:
 
 @dataclass
 class ModelSpec:
-    """Simulator bundle: prior draw, forward map, summary statistic."""
+    """Simulator bundle: `sample` maps open uniforms U[N, draws] to rows
+    (theta[N], Y[N, n_obs]), row i reading only U[i]; `summary` maps Y to
+    (N,) or (N, k) row by row, and one observation vector to a scalar or (k,).
+    """
 
-    prior_sampler: Callable[[RandomSource], float]
-    forward: Callable[[float, int, RandomSource], np.ndarray]
+    sample: Callable[[np.ndarray], tuple]
     summary: Callable[[np.ndarray], "float | np.ndarray"]
     n_obs: int
+    draws: int
     name: str = "custom"
 
     def __post_init__(self):
-        if self.n_obs < 1:
-            raise ValueError("n_obs must be >= 1")
+        if self.n_obs < 1 or self.draws < 1:
+            raise ValueError("n_obs and draws must be >= 1")
 
 
 @dataclass
@@ -112,15 +115,14 @@ class NormalNormalModel:
         sigma = math.sqrt(self.likelihood_variance)
         mu = self.prior_mean
 
-        def prior(rng: RandomSource) -> float:
-            return float(rng.normal(mean=mu, sd=alpha))
+        def sample(U: np.ndarray):
+            # column 0 is the prior draw, columns 1..n the forward draws
+            Z = normal_quantile(U)
+            theta = Z[:, 0] * alpha + mu
+            return theta, Z[:, 1:] * sigma + theta[:, None]
 
-        def forward(theta: float, n: int, rng: RandomSource) -> np.ndarray:
-            return rng.normal(n, mean=theta, sd=sigma)
-
-        return ModelSpec(prior_sampler=prior, forward=forward,
-                         summary=summary or summary_mean,
-                         n_obs=self.n, name="normal-normal")
+        return ModelSpec(sample=sample, summary=summary or summary_mean,
+                         n_obs=self.n, draws=1 + self.n, name="normal-normal")
 
 
 def _interval(domain) -> tuple:
@@ -157,7 +159,7 @@ class PortfolioProblem:
     def utility_spec(self) -> "UtilitySpec":
         gamma, rf = self.risk_aversion, self.risk_free
 
-        def evaluate(decision: float, outcome: float) -> float:
+        def evaluate(decision, outcome):
             return cara_utility(portfolio_wealth(decision, outcome, rf), gamma)
 
         return UtilitySpec(evaluate=evaluate, decision_domain=self.weight_domain,
@@ -166,9 +168,9 @@ class PortfolioProblem:
 
 @dataclass
 class UtilitySpec:
-    """Utility evaluator U(d, outcome) with its decision domain."""
+    """Utility evaluator U(d, outcome) on arrays of one shape, with its decision domain."""
 
-    evaluate: Callable[[float, float], float]
+    evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
     decision_domain: tuple = (0.0, 1.0)
     name: str = "utility"
 
@@ -177,54 +179,57 @@ class UtilitySpec:
 
 
 def simulate_pairs(model: ModelSpec, N: int, rng: RandomSource):
-    """Draw N prior/forward pairs (theta_i, y_i) from the model."""
+    """Draw N rows theta[N], Y[N, n_obs] from one row-major block of N * draws
+    uniforms: each row reads what a row-by-row simulator would draw for it."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    out = []
-    for i in range(N):
-        theta = float(model.prior_sampler(rng))
-        if not math.isfinite(theta):
-            raise SimulationError(f"prior draw {i} is non-finite", index=i)
-        y = np.asarray(model.forward(theta, model.n_obs, rng), dtype=np.float64).reshape(-1)
-        if y.shape[0] != model.n_obs:
-            raise SimulationError(
-                f"forward draw {i} returned {y.shape[0]} values, expected {model.n_obs}",
-                index=i)
-        if not np.all(np.isfinite(y)):
-            raise SimulationError(f"forward draw {i} contains non-finite values", index=i)
-        out.append((theta, y))
-    return out
+    theta, Y = model.sample(rng.uniform(N * model.draws).reshape(N, model.draws))
+    theta = np.asarray(theta, dtype=np.float64)
+    Y = np.asarray(Y, dtype=np.float64)
+    if theta.shape != (N,) or Y.shape != (N, model.n_obs):
+        raise SimulationError(f"sample returned shapes {theta.shape} and {Y.shape}",
+                              index=0)
+    bad_prior = ~np.isfinite(theta)
+    bad = bad_prior | ~np.all(np.isfinite(Y), axis=1)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        kind = "prior" if bad_prior[i] else "forward"
+        raise SimulationError(f"{kind} draw is non-finite", index=i)
+    return theta, Y
 
 
-def summary_mean(y) -> float:
-    """Arithmetic mean of the observations."""
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    if y.size == 0:
+def summary_mean(y):
+    """Mean of the observations: a float for one vector, one mean per row of a block."""
+    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
+    if y.shape[-1] == 0:
         raise DataError("summary_mean needs a nonempty vector")
-    return float(y.mean())
+    return y.mean(axis=-1) if y.ndim > 1 else float(y.mean())
 
 
 @dataclass
 class LinearSummary:
-    """Affine summary y -> intercept + coefficients . y learned by OLS."""
+    """Affine summary y -> intercept + coefficients . y learned by OLS, row by row."""
 
     intercept: float
     coefficients: np.ndarray
 
-    def __call__(self, y) -> float:
-        y = np.asarray(y, dtype=np.float64).reshape(-1)
-        if y.shape[0] != self.coefficients.shape[0]:
-            raise ShapeError(
-                f"summary expects length {self.coefficients.shape[0]}, got {y.shape[0]}")
-        return float(self.intercept + self.coefficients @ y)
+    def __call__(self, y):
+        y = np.asarray(y, dtype=np.float64)
+        if y.shape[-1:] != self.coefficients.shape:
+            raise ShapeError(f"summary expects rows of length "
+                             f"{self.coefficients.shape[0]}, got shape {y.shape}")
+        out = self.intercept + y @ self.coefficients
+        return float(out) if out.ndim == 0 else out
 
 
-def learn_summary_ols(pairs) -> LinearSummary:
-    """Regress theta on y (with intercept) to learn a linear summary."""
-    if len(pairs) == 0:
+def learn_summary_ols(theta, Y) -> LinearSummary:
+    """Regress theta[N] on the rows of Y[N, k] (with intercept) to learn a linear summary."""
+    theta = np.asarray(theta, dtype=np.float64).reshape(-1)
+    Y = np.asarray(Y, dtype=np.float64)
+    if theta.size == 0:
         raise DataError("no pairs supplied")
-    theta = np.array([p[0] for p in pairs], dtype=np.float64)
-    Y = np.array([np.asarray(p[1], dtype=np.float64).reshape(-1) for p in pairs])
+    if Y.ndim != 2 or Y.shape[0] != theta.size:
+        raise ShapeError(f"Y must have shape ({theta.size}, k), got {Y.shape}")
     n, k = Y.shape
     if n < k + 1:
         raise SingularDesignError(f"need at least {k + 1} pairs for {k} regressors, got {n}")

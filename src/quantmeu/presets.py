@@ -16,6 +16,7 @@ import numpy as np
 from .errors import DataError
 from .models import (ModelSpec, NormalNormalModel, PortfolioProblem,
                      RandomSource, UtilitySpec, summary_mean)
+from .special import normal_quantile
 
 NORMAL_NORMAL = "normal-normal"
 PORTFOLIO = "portfolio"
@@ -113,14 +114,12 @@ def portfolio_model_spec(problem: PortfolioProblem) -> ModelSpec:
     the summary column carry the return itself.
     """
 
-    def prior(rng: RandomSource) -> float:
-        return float(rng.normal(mean=problem.return_mean, sd=problem.return_sd))
+    def sample(U: np.ndarray):
+        theta = normal_quantile(U[:, 0]) * problem.return_sd + problem.return_mean
+        return theta, theta[:, None]
 
-    def forward(theta: float, n: int, rng: RandomSource) -> np.ndarray:
-        return np.full(n, theta)
-
-    return ModelSpec(prior_sampler=prior, forward=forward, summary=summary_mean,
-                     n_obs=1, name="portfolio-return")
+    return ModelSpec(sample=sample, summary=summary_mean, n_obs=1, draws=1,
+                     name="portfolio-return")
 
 
 def decision_grid(config: dict) -> np.ndarray:

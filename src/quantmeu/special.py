@@ -3,7 +3,8 @@
 No external special-function dependency: the CDF goes through the stdlib
 complementary error function and the inverse uses the Wichura PPND16
 rational approximation, accurate well below the 1e-9 contract everywhere
-in [1e-8, 1 - 1e-8]. Both accept scalars or numpy arrays.
+in [1e-8, 1 - 1e-8]. Both accept scalars or numpy arrays; the inverse has
+one implementation, which scalars go through as one-element arrays.
 """
 
 from __future__ import annotations
@@ -57,32 +58,13 @@ def _poly(coeffs, x):
     return acc
 
 
-def _ppnd16_scalar(p: float) -> float:
-    q = p - 0.5
-    if abs(q) <= 0.425:
-        r = 0.180625 - q * q
-        return q * _poly(_A, r) / _poly(_B, r)
-    r = p if q < 0.0 else 1.0 - p
-    r = math.sqrt(-math.log(r))
-    if r <= 5.0:
-        r -= 1.6
-        val = _poly(_C, r) / _poly(_D, r)
-    else:
-        r -= 5.0
-        val = _poly(_E, r) / _poly(_F, r)
-    return -val if q < 0.0 else val
-
-
 def normal_quantile(p):
-    """Phi^{-1}(p) for scalar or array p, p strictly inside (0,1)."""
-    if np.isscalar(p) or np.ndim(p) == 0:
-        p = float(p)
-        if not 0.0 < p < 1.0:
-            raise DomainError(f"normal_quantile requires p in (0,1), got {p}")
-        return _ppnd16_scalar(p)
-
-    p = np.asarray(p, dtype=np.float64)
-    if p.size and (np.min(p) <= 0.0 or np.max(p) >= 1.0):
+    """Phi^{-1}(p) for scalar or array p, p strictly inside (0,1); a scalar
+    goes through the array code, so its value matches the batched one."""
+    scalar = np.ndim(p) == 0
+    p = np.atleast_1d(np.asarray(p, dtype=np.float64))
+    # written so that NaN fails the check too
+    if not np.all((p > 0.0) & (p < 1.0)):
         raise DomainError("normal_quantile requires all p in (0,1)")
     q = p - 0.5
     out = np.empty_like(p)
@@ -107,4 +89,4 @@ def normal_quantile(p):
             rf = r[far] - 5.0
             val[far] = _poly(_E, rf) / _poly(_F, rf)
         out[tail] = np.where(qt < 0.0, -val, val)
-    return out
+    return float(out[0]) if scalar else out

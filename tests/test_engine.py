@@ -2,17 +2,25 @@
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from quantmeu import (DenseNet, ModelSpec, NormalNormalModel,
                       PortfolioProblem, QuantileNet, RandomSource,
-                      TrainConfig, build_training_table,
-                      compose_utility_samples, expected_utility,
-                      optimize_decision, posterior_sample, summary_mean,
-                      train_posterior_net, train_utility_net)
-from quantmeu.engine import OptimizationResult, _midpoint_grid
+                      TrainConfig, build_training_table, cara_utility,
+                      compose_utility_samples, expected_utility, get_preset,
+                      normal_quantile, optimize_decision, portfolio_wealth,
+                      posterior_sample, summary_mean, train_posterior_net,
+                      train_utility_net)
+from quantmeu import engine
+from quantmeu.engine import _BLOCK_UNIFORMS, OptimizationResult, _midpoint_grid
+from quantmeu.presets import (build_normal_normal, build_portfolio,
+                              decision_grid, portfolio_model_spec)
 from quantmeu.errors import (DataError, DomainError, NumericError, ShapeError,
                              SimulationError)
 
@@ -20,9 +28,12 @@ from quantmeu.errors import (DataError, DomainError, NumericError, ShapeError,
 def identity_model(name="identity"):
     # theta observed without noise: the conditional law of theta given the
     # summary s is a point mass at s
-    return ModelSpec(prior_sampler=lambda rng: rng.normal(),
-                     forward=lambda th, n, rng: np.full(n, th),
-                     summary=summary_mean, n_obs=1, name=name)
+    def sample(U):
+        theta = normal_quantile(U[:, 0])
+        return theta, theta[:, None]
+
+    return ModelSpec(sample=sample, summary=summary_mean, n_obs=1, draws=1,
+                     name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +118,155 @@ def test_table_failing_utility_reports_row():
         build_training_table(model, utility=BadUtility(), decisions=[0.5],
                              N=4, rng=RandomSource(0))
     assert exc.value.index == 0
+
+
+def test_table_error_rows_count_across_blocks():
+    # a failure in the second block is reported at its row of the table
+    target = _BLOCK_UNIFORMS + 7
+    seen = [0]
+
+    def sample(U):
+        theta = normal_quantile(U[:, 0])
+        if seen[0] <= target < seen[0] + theta.size:
+            theta[target - seen[0]] = math.nan
+        seen[0] += theta.size
+        return theta, theta[:, None]
+
+    bad_prior = ModelSpec(sample=sample, summary=summary_mean, n_obs=1, draws=1)
+    with pytest.raises(SimulationError) as exc:
+        build_training_table(bad_prior, N=target + 2, rng=RandomSource(0))
+    assert exc.value.index == target
+    assert str(exc.value).endswith(f"at row {target}")
+
+    class NanUtility:
+        decision_domain = (0.0, 1.0)
+
+        @staticmethod
+        def evaluate(d, theta):
+            return np.where(d == 1.0, math.nan, theta)
+
+    # decision 1.0 is the last of target + 1 grid points: first met at row target
+    with pytest.raises(SimulationError) as exc:
+        build_training_table(identity_model(), utility=NanUtility(),
+                             decisions=np.linspace(0.0, 1.0, target + 1),
+                             N=target + 2, rng=RandomSource(0))
+    assert exc.value.index == target
+
+
+def test_table_sorted_pairing_two_column_summary():
+    # discrete 2-column summary: 3 x 3 cells of rows that share a summary row
+    def sample(U):
+        return normal_quantile(U[:, 0]), U[:, 1:]
+
+    model = ModelSpec(sample=sample, summary=lambda Y: np.floor(3.0 * Y),
+                      n_obs=2, draws=3)
+    plain = build_training_table(model, N=300, rng=RandomSource(4))
+    paired = build_training_table(model, N=300, rng=RandomSource(4),
+                                  sorted_pairing=True)
+    assert paired.summary.shape == (300, 2)
+    np.testing.assert_array_equal(paired.theta, plain.theta)
+    cells = np.unique(paired.summary, axis=0)
+    assert len(cells) == 9
+    for cell in cells:
+        idx = np.nonzero(np.all(paired.summary == cell, axis=1))[0]
+        assert idx.size > 1
+        np.testing.assert_array_equal(np.sort(paired.tau[idx]), np.sort(plain.tau[idx]))
+        np.testing.assert_array_equal(np.argsort(np.argsort(paired.tau[idx])),
+                                      np.argsort(np.argsort(paired.theta[idx])))
+
+
+def per_row_table(preset, N, seed, sorted_pairing):
+    """Row-by-row reference for a preset's table: per row, the prior uniform
+    and then the forward uniforms, Phi^-1 of each, the summary and the
+    utility; then tau, re-paired one conditioning value at a time."""
+    config = get_preset(preset)
+    rng = RandomSource(seed)
+    theta, summary, utility = np.empty(N), np.empty(N), np.empty(N)
+    if preset == "portfolio":
+        problem = build_portfolio(config)
+        grid = decision_grid(config)
+        decision = grid[np.arange(N) % grid.size]
+        for i in range(N):
+            u = rng.uniform(1)
+            theta[i] = normal_quantile(u)[0] * problem.return_sd + problem.return_mean
+            summary[i] = theta[i]   # the mean of the one observation y = theta
+            utility[i] = cara_utility(portfolio_wealth(decision[i], theta[i],
+                                                       problem.risk_free),
+                                      problem.risk_aversion)
+        keys, target = decision, utility
+    else:
+        model = build_normal_normal(config)
+        alpha, sigma = math.sqrt(model.prior_variance), math.sqrt(model.likelihood_variance)
+        for i in range(N):
+            u = rng.uniform(1 + model.n)
+            theta[i] = normal_quantile(u[:1])[0] * alpha + model.prior_mean
+            summary[i] = np.mean(normal_quantile(u[1:]) * sigma + theta[i])
+        keys, target = summary, theta
+    tau = rng.uniform(N)
+    if sorted_pairing:
+        for key in np.unique(keys):
+            idx = np.nonzero(keys == key)[0]
+            tau[idx[np.argsort(target[idx], kind="stable")]] = np.sort(tau[idx])
+    return theta, summary, tau, utility
+
+
+def preset_table(preset, N, seed, sorted_pairing):
+    config = get_preset(preset)
+    rng = RandomSource(seed)
+    if preset == "portfolio":
+        problem = build_portfolio(config)
+        return build_training_table(portfolio_model_spec(problem),
+                                    utility=problem.utility_spec(),
+                                    decisions=decision_grid(config), N=N, rng=rng,
+                                    sorted_pairing=sorted_pairing)
+    return build_training_table(build_normal_normal(config).spec(), N=N, rng=rng,
+                                sorted_pairing=sorted_pairing)
+
+
+def assert_matches_per_row_reference(preset, N, seed, sorted_pairing):
+    t = preset_table(preset, N, seed, sorted_pairing)
+    theta, summary, tau, utility = per_row_table(preset, N, seed, sorted_pairing)
+    assert t.theta.tobytes() == theta.tobytes()
+    assert t.summary.tobytes() == summary.reshape(N, 1).tobytes()
+    assert t.tau.tobytes() == tau.tobytes()
+    if preset == "portfolio":
+        assert t.utility.tobytes() == utility.tobytes()
+
+
+def preset_draws(preset):
+    return 1 if preset == "portfolio" else 1 + get_preset(preset)["model"]["n"]
+
+
+def around(rows, size):
+    return {"1": 1, "rows-1": max(rows - 1, 1), "rows": rows, "rows+1": rows + 1,
+            "2rows+3": 2 * rows + 3}[size]
+
+
+SIZES = st.sampled_from(["1", "rows-1", "rows", "rows+1", "2rows+3"])
+
+
+@settings(max_examples=50, deadline=None)
+@given(preset=st.sampled_from(["portfolio", "normal-normal"]),
+       sorted_pairing=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+       block_uniforms=st.integers(1, 1024), size=SIZES)
+def test_table_matches_per_row_reference(preset, sorted_pairing, seed,
+                                         block_uniforms, size):
+    # a smaller block, down to less than one row's draws, moves the block
+    # edges without changing the table; N sits around the rows of one block
+    rows = max(block_uniforms // preset_draws(preset), 1)
+    with mock.patch.object(engine, "_BLOCK_UNIFORMS", block_uniforms):
+        assert_matches_per_row_reference(preset, around(rows, size), seed,
+                                         sorted_pairing)
+
+
+@settings(max_examples=8, deadline=None)
+@given(sorted_pairing=st.booleans(), seed=st.integers(0, 2 ** 32 - 1), size=SIZES)
+def test_table_default_blocks_match_per_row_reference(sorted_pairing, seed, size):
+    # the normal-normal preset uses 101 uniforms a row, so its default block
+    # holds few enough rows for the per-row reference to walk past two edges
+    rows = _BLOCK_UNIFORMS // preset_draws("normal-normal")
+    assert_matches_per_row_reference("normal-normal", around(rows, size), seed,
+                                     sorted_pairing)
 
 
 # ---------------------------------------------------------------------------

@@ -73,19 +73,17 @@ def test_normal_normal_spec_shapes():
     model = NormalNormalModel(0.0, 25.0, 100.0, n=7)
     spec = model.spec()
     assert spec.n_obs == 7
-    pairs = simulate_pairs(spec, 40, RandomSource(0))
-    assert len(pairs) == 40
-    theta, y = pairs[0]
-    assert isinstance(theta, float)
-    assert y.shape == (7,)
+    assert spec.draws == 8
+    theta, Y = simulate_pairs(spec, 40, RandomSource(0))
+    assert theta.shape == (40,)
+    assert Y.shape == (40, 7)
 
 
 def test_normal_normal_marginals():
     # [DERIVED] marginally y_ij ~ N(prior_mean, prior_var + lik_var)
     model = NormalNormalModel(2.0, 4.0, 9.0, n=5)
-    pairs = simulate_pairs(model.spec(), 20000, RandomSource(1))
-    theta = np.array([p[0] for p in pairs])
-    ys = np.concatenate([p[1] for p in pairs])
+    theta, Y = simulate_pairs(model.spec(), 20000, RandomSource(1))
+    ys = Y.ravel()
     assert theta.mean() == pytest.approx(2.0, abs=0.05)
     assert theta.var() == pytest.approx(4.0, rel=0.05)
     assert ys.var() == pytest.approx(13.0, rel=0.05)
@@ -94,14 +92,15 @@ def test_normal_normal_marginals():
 def test_simulate_pairs_reports_failing_index():
     model = NormalNormalModel(0.0, 1.0, 1.0, n=2)
     spec = model.spec()
-    calls = {"i": 0}
 
-    def bad_prior(rng):
-        calls["i"] += 1
-        return math.nan if calls["i"] == 3 else 0.0
+    def bad_sample(U):
+        theta, Y = spec.sample(U)
+        theta[2] = math.nan
+        Y[5, 1] = math.inf
+        return theta, Y
 
-    broken = type(spec)(prior_sampler=bad_prior, forward=spec.forward,
-                        summary=spec.summary, n_obs=spec.n_obs)
+    broken = type(spec)(sample=bad_sample, summary=spec.summary,
+                        n_obs=spec.n_obs, draws=spec.draws)
     with pytest.raises(SimulationError) as exc:
         simulate_pairs(broken, 10, RandomSource(0))
     assert exc.value.index == 2
@@ -109,6 +108,8 @@ def test_simulate_pairs_reports_failing_index():
 
 def test_summary_mean():
     assert summary_mean([1.0, 2.0, 6.0]) == 3.0
+    np.testing.assert_array_equal(summary_mean([[1.0, 2.0, 6.0], [0.0, 0.0, 3.0]]),
+                                  [3.0, 1.0])
     with pytest.raises(DataError):
         summary_mean([])
 
@@ -117,19 +118,18 @@ def test_learn_summary_ols_recovers_plain_mean():
     # when theta is the exact mean of y, OLS must recover weights 1/n
     rng = np.random.default_rng(0)
     Y = rng.normal(size=(200, 4))
-    pairs = [(float(np.mean(row)), row) for row in Y]
-    s = learn_summary_ols(pairs)
+    s = learn_summary_ols(Y.mean(axis=1), Y)
     assert s.intercept == pytest.approx(0.0, abs=1e-10)
     np.testing.assert_allclose(s.coefficients, 0.25, atol=1e-10)
     assert s(Y[0]) == pytest.approx(np.mean(Y[0]))
+    np.testing.assert_allclose(s(Y), Y.mean(axis=1), atol=1e-10)
 
 
 def test_learn_summary_ols_singular_design():
-    pairs = [(1.0, np.array([2.0, 2.0]))] * 10
     with pytest.raises(SingularDesignError):
-        learn_summary_ols(pairs)
+        learn_summary_ols(np.ones(10), np.full((10, 2), 2.0))
     with pytest.raises(SingularDesignError):
-        learn_summary_ols([(1.0, np.arange(5.0))] * 3)
+        learn_summary_ols(np.ones(3), np.tile(np.arange(5.0), (3, 1)))
 
 
 def test_linear_summary_length_check():
