@@ -13,24 +13,17 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from . import presets, repro
 from .analytic import kelly_weight
-from .engine import (QuantileNet, build_training_table, expected_utility,
-                     optimize_decision)
-from .errors import QuantmeuError, DataError
-from .models import RandomSource
-from .net import TrainConfig, load_net, save_net
+from .engine import (QuantileNet, expected_utility, train_posterior_net,
+                     train_utility_net)
+from .errors import DataError, QuantmeuError, UsageError
+from .net import load_net, save_net
 from .svgplot import Series, VLine, line_plot
 from .tables import TrainingTable
-
-
-class UsageError(Exception):
-    """Bad flags or configuration; mapped to exit code 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -38,109 +31,41 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class ExperimentConfig:
-    """Merged (preset <- config file <- flags) experiment description."""
-
-    experiment: str
-    model: dict = field(default_factory=dict)
-    simulate: dict = field(default_factory=dict)
-    train: dict = field(default_factory=dict)
-    eu: dict = field(default_factory=dict)
-    optimize: dict = field(default_factory=dict)
-    posterior: dict = field(default_factory=dict)
-    out: str = "."
-    data_seed: Optional[int] = None
-    raw: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_dict(cls, doc: dict, out: str) -> "ExperimentConfig":
-        return cls(experiment=doc.get("experiment", doc.get("name", "custom")),
-                   model=doc.get("model", {}),
-                   simulate=doc.get("simulate", {}),
-                   train=doc.get("train", {}),
-                   eu=doc.get("eu", {"M": 1024, "scheme": "uniform_grid"}),
-                   optimize=doc.get("optimize", {"grid_size": 101, "refine": True}),
-                   posterior=doc.get("posterior", {}),
-                   out=out,
-                   data_seed=doc.get("data_seed"),
-                   raw=doc)
-
-    def train_config(self) -> TrainConfig:
-        try:
-            return TrainConfig(**self.train) if self.train else TrainConfig()
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"bad train configuration: {exc}") from exc
-
-
-def _load_config(args) -> ExperimentConfig:
+def _overrides(args) -> dict:
+    """The --config document with the value flags set on top of it."""
     doc: dict = {}
-    if getattr(args, "preset", None):
-        try:
-            doc = presets.get_preset(args.preset)
-        except DataError as exc:
-            raise UsageError(str(exc)) from exc
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
-                file_doc = json.load(fh)
+                doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataError(f"config file is not valid JSON: {exc}") from exc
-        if not isinstance(file_doc, dict):
+        if not isinstance(doc, dict):
             raise DataError("config file must hold a JSON object")
-        doc = repro._merge(doc, file_doc)
-    if getattr(args, "seed", None) is not None:
-        doc.setdefault("simulate", {})["seed"] = args.seed
-    if getattr(args, "n", None) is not None:
-        doc.setdefault("simulate", {})["N"] = args.n
-    if getattr(args, "grid", None) is not None:
-        doc.setdefault("simulate", {})["grid_size"] = args.grid
-        doc.setdefault("optimize", {})["grid_size"] = args.grid
-    out = getattr(args, "out", None) or "."
-    cfg = ExperimentConfig.from_dict(doc, out=out)
-    for section in ("simulate", "optimize"):
-        grid_size = int(getattr(cfg, section).get("grid_size", 101))
-        if grid_size < 2:
-            raise UsageError(f"--grid or {section}.grid_size must be >= 2, got {grid_size}")
-    return cfg
+    for section, key, value in (("simulate", "seed", args.seed),
+                                ("simulate", "N", args.n),
+                                ("simulate", "grid_size", args.grid),
+                                ("optimize", "grid_size", args.grid),
+                                ("eu", "M", getattr(args, "m", None)),
+                                ("eu", "scheme", getattr(args, "scheme", None))):
+        if value is not None:
+            doc.setdefault(section, {})[key] = value
+    return doc
 
 
-def _ensure_outdir(cfg: ExperimentConfig) -> str:
-    os.makedirs(cfg.out, exist_ok=True)
-    return cfg.out
+def _load_config(args) -> repro.ExperimentConfig:
+    return repro.ExperimentConfig(args.preset, _overrides(args))
 
 
-def _sim_rng(cfg: ExperimentConfig) -> RandomSource:
-    seed = int(cfg.simulate.get("seed", 0))
-    if not 0 <= seed < 2 ** 64:
-        raise UsageError("--seed must fit in 64 unsigned bits")
-    return RandomSource(seed=seed)
+def _outdir(args) -> str:
+    out = args.out or "."
+    os.makedirs(out, exist_ok=True)
+    return out
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args)
-    if not cfg.model:
-        raise UsageError("simulate needs --preset or --config with model parameters")
-    N = int(cfg.simulate.get("N", 0))
-    if N < 1:
-        raise UsageError(f"N must be >= 1, got {N}")
-    outdir = _ensure_outdir(cfg)
-    rng = _sim_rng(cfg)
-    sorted_pairing = bool(cfg.simulate.get("sorted_pairing", False))
-
-    if cfg.experiment == presets.PORTFOLIO:
-        problem = presets.build_portfolio(cfg.raw)
-        spec = presets.portfolio_model_spec(problem)
-        table = build_training_table(spec, utility=problem.utility_spec(),
-                                     decisions=presets.decision_grid(cfg.raw),
-                                     N=N, rng=rng, sorted_pairing=sorted_pairing)
-    elif cfg.experiment == presets.NORMAL_NORMAL:
-        model = presets.build_normal_normal(cfg.raw)
-        table = build_training_table(model.spec(), N=N, rng=rng,
-                                     sorted_pairing=sorted_pairing)
-    else:
-        raise UsageError(f"unknown experiment {cfg.experiment!r}")
-
+    table = repro.simulate_table(_load_config(args))
+    outdir = _outdir(args)
     table_path = os.path.join(outdir, "table.csv")
     table.to_csv(table_path)
     prov_path = os.path.join(outdir, "table_provenance.json")
@@ -152,19 +77,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    from .engine import train_posterior_net, train_utility_net
-
     cfg = _load_config(args)
-    outdir = _ensure_outdir(cfg)
+    outdir = _outdir(args)
     table = TrainingTable.from_csv(args.table)
     target = args.target
     if target == "auto":
         target = "utility" if table.has_utility else "posterior"
-    config = cfg.train_config()
-    if target == "utility":
-        qnet, history = train_utility_net(table, config)
-    else:
-        qnet, history = train_posterior_net(table, config)
+    trainer = train_utility_net if target == "utility" else train_posterior_net
+    qnet, history = trainer(table, cfg.train)
 
     net_path = os.path.join(outdir, "net.json")
     save_net(qnet.net, net_path)
@@ -188,24 +108,8 @@ def _load_quantile_net(path, role: str) -> QuantileNet:
 
 def cmd_optimize(args) -> int:
     cfg = _load_config(args)
-    outdir = _ensure_outdir(cfg)
-    qnet = _load_quantile_net(args.net, "utility")
-
-    domain = tuple(cfg.model.get("weight_domain",
-                                 cfg.optimize.get("domain", (0.0, 1.0))))
-    M = int(cfg.eu.get("M", 1024))
-    scheme = cfg.eu.get("scheme", "uniform_grid")
-    rng = _sim_rng(cfg).substream(7) if scheme == "random" else None
-
-    def evaluator(d):
-        return expected_utility(qnet, d=d, M=M, scheme=scheme, rng=rng)
-
-    result = optimize_decision(evaluator, domain,
-                               grid_size=int(cfg.optimize.get("grid_size", 101)),
-                               refine=bool(cfg.optimize.get("refine", True)),
-                               config={"experiment": cfg.experiment, "M": M,
-                                       "scheme": scheme},
-                               seed=int(cfg.simulate.get("seed", 0)))
+    outdir = _outdir(args)
+    result = repro.optimize_net(_load_quantile_net(args.net, "utility"), cfg)
 
     result_path = os.path.join(outdir, "result.json")
     result.save_json(result_path)
@@ -216,7 +120,7 @@ def cmd_optimize(args) -> int:
     vlines = [VLine(result.best_decision, label=f"est {result.best_decision:.3f}",
                     color="#2ca02c")]
     if cfg.experiment == presets.PORTFOLIO and cfg.model:
-        kelly = float(kelly_weight(presets.build_portfolio(cfg.raw)))
+        kelly = float(kelly_weight(presets.build_portfolio(cfg.doc)))
         vlines.insert(0, VLine(kelly, label=f"{kelly:.2f}", color="#d62728"))
     svg_path = os.path.join(outdir, "curve.svg")
     line_plot(svg_path, [Series(curve[:, 0], curve[:, 1], "EU estimate")],
@@ -233,18 +137,10 @@ def cmd_optimize(args) -> int:
 
 def cmd_eu(args) -> int:
     cfg = _load_config(args)
-    M = args.m if args.m is not None else int(cfg.eu.get("M", 1024))
-    if M < 2:
-        raise UsageError(f"M must be >= 2, got {M}")
     qnet = _load_quantile_net(args.net, args.role)
-    scheme = args.scheme or cfg.eu.get("scheme", "uniform_grid")
-    rng = _sim_rng(cfg).substream(7) if scheme == "random" else None
-    if qnet.role == "utility":
-        est, se = expected_utility(qnet, d=args.decision, M=M, scheme=scheme,
-                                   rng=rng)
-    else:
-        est, se = expected_utility(qnet, y_obs=[args.decision], M=M,
-                                   scheme=scheme, rng=rng)
+    M, scheme = cfg.eu["M"], cfg.eu["scheme"]
+    cond = {"d": args.decision} if qnet.role == "utility" else {"y_obs": [args.decision]}
+    est, se = expected_utility(qnet, M=M, scheme=scheme, rng=cfg.eu_rng(), **cond)
     doc = {"decision": args.decision, "eu": est, "se": se, "M": M,
            "scheme": scheme}
     print(json.dumps(doc))
@@ -257,14 +153,14 @@ def cmd_eu(args) -> int:
 
 
 def cmd_repro(args) -> int:
-    cfg = _load_config(args)
     runner = repro.RUNNERS.get(args.experiment)
     if runner is None:
         raise UsageError(f"unknown experiment {args.experiment!r}; "
                          f"choose from {', '.join(sorted(repro.RUNNERS))}")
-    outdir = getattr(args, "out", None) or args.experiment + "-repro"
-    overrides = {k: v for k, v in cfg.raw.items() if k != "name"}
-    report = runner(outdir, overrides=overrides or None,
+    if args.preset and args.preset != args.experiment:
+        raise UsageError("repro takes its preset from the experiment argument")
+    outdir = args.out or args.experiment + "-repro"
+    report = runner(outdir, overrides=_overrides(args) or None,
                     structural_only=args.structural)
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
@@ -314,8 +210,7 @@ def build_parser() -> _Parser:
     p.add_argument("--decision", type=float, required=True,
                    help="decision (or conditioning) value")
     p.add_argument("--m", type=int, help="number of tau points")
-    p.add_argument("--scheme", choices=("uniform_grid", "random"),
-                   help="tau scheme")
+    p.add_argument("--scheme", help="tau scheme: uniform_grid or random")
     p.add_argument("--role", choices=("utility", "posterior"),
                    default="utility", help="how to interpret the net")
     p.set_defaults(func=cmd_eu)

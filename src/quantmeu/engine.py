@@ -144,31 +144,27 @@ def build_training_table(model: ModelSpec, utility: Optional[UtilitySpec] = None
                          provenance=provenance)
 
 
-def train_posterior_net(table: TrainingTable, config: Optional[TrainConfig] = None,
-                        hidden=netmod.DEFAULT_HIDDEN):
-    """Fit H(summary, tau) -> theta quantiles on the table."""
+def _train_quantile_net(design, role: str, conditioning_dim: int,
+                        config: Optional[TrainConfig], hidden):
+    X, y, tau = design
     config = config or TrainConfig()
-    X, y, tau = table.posterior_design()
     layer_sizes = (X.shape[1],) + tuple(hidden) + (1,)
     base = DenseNet.initialized(layer_sizes, seed=config.seed)
     trained, history = netmod.train(base, X, y, tau, config)
-    qnet = QuantileNet(net=trained, role="posterior",
-                       conditioning_dim=table.summary_dim)
-    return qnet, history
+    return QuantileNet(net=trained, role=role, conditioning_dim=conditioning_dim), history
+
+
+def train_posterior_net(table: TrainingTable, config: Optional[TrainConfig] = None,
+                        hidden=netmod.DEFAULT_HIDDEN):
+    """Fit H(summary, tau) -> theta quantiles on the table."""
+    return _train_quantile_net(table.posterior_design(), "posterior",
+                               table.summary_dim, config, hidden)
 
 
 def train_utility_net(table: TrainingTable, config: Optional[TrainConfig] = None,
                       hidden=netmod.DEFAULT_HIDDEN):
     """Fit G(decision, tau) -> utility quantiles on the table."""
-    if not table.has_utility:
-        raise DataError("table has no decision/utility columns")
-    config = config or TrainConfig()
-    X, y, tau = table.utility_design()
-    layer_sizes = (X.shape[1],) + tuple(hidden) + (1,)
-    base = DenseNet.initialized(layer_sizes, seed=config.seed)
-    trained, history = netmod.train(base, X, y, tau, config)
-    qnet = QuantileNet(net=trained, role="utility", conditioning_dim=1)
-    return qnet, history
+    return _train_quantile_net(table.utility_design(), "utility", 1, config, hidden)
 
 
 def _as_condition(qnet: QuantileNet, y_obs, summary=None) -> np.ndarray:

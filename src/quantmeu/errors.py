@@ -5,6 +5,10 @@ class QuantmeuError(Exception):
     """Base class for all package-specific errors."""
 
 
+class UsageError(QuantmeuError):
+    """Bad flags or experiment configuration; the CLI maps it to exit code 1."""
+
+
 class ShapeError(QuantmeuError, ValueError):
     """Array or layer dimensions do not line up."""
 

@@ -31,11 +31,8 @@ class RandomSource:
 
     seed: int = 0
     stream: int = 0
-    algorithm: str = "philox"
 
     def __post_init__(self):
-        if self.algorithm != "philox":
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if not 0 <= int(self.seed) < 2 ** 64:
             raise ValueError("seed must fit in 64 unsigned bits")
         if not 0 <= int(self.stream) < 2 ** 64:
@@ -45,7 +42,7 @@ class RandomSource:
 
     def substream(self, index: int) -> "RandomSource":
         """Independent stream derived from the same seed."""
-        return RandomSource(seed=self.seed, stream=int(index), algorithm=self.algorithm)
+        return RandomSource(seed=self.seed, stream=int(index))
 
     def uniform(self, n: Optional[int] = None):
         """Open-interval uniforms in (0,1); scalar when n is None."""

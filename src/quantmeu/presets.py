@@ -123,6 +123,5 @@ def portfolio_model_spec(problem: PortfolioProblem) -> ModelSpec:
 
 
 def decision_grid(config: dict) -> np.ndarray:
-    lo, hi = config["model"].get("weight_domain", [0.0, 1.0])
-    g = int(config.get("simulate", {}).get("grid_size", 101))
-    return np.linspace(float(lo), float(hi), g)
+    lo, hi = config["model"]["weight_domain"]
+    return np.linspace(float(lo), float(hi), int(config["simulate"]["grid_size"]))

@@ -1,9 +1,13 @@
-"""End-to-end preset pipelines with pass/fail reports and figure artifacts.
+"""The experiment pipeline: one validated configuration, the shared
+stages, and the end-to-end preset runs with pass/fail reports.
 
-Each runner writes CSV panel data, SVG plots, and a JSON report whose
-checks mirror the package's acceptance thresholds. `structural_only`
-skips network training and keeps only the closed-form artifacts, which
-is enough for format/shape verification.
+`ExperimentConfig` merges a preset with overrides and checks every field
+a stage reads. `simulate_table` and `optimize_net` are the stages that
+both the CLI subcommands and the runners call. Each runner writes CSV
+panel data, SVG plots, and a JSON report whose checks mirror the
+package's acceptance thresholds; `structural_only` skips network
+training and keeps only the closed-form artifacts, which is enough for
+format/shape verification.
 """
 
 from __future__ import annotations
@@ -21,13 +25,123 @@ import numpy as np
 from . import presets
 from .analytic import (cara_normal_eu, conjugate_posterior, kelly_weight,
                        prior_to_posterior_survival_check, wang_params)
-from .engine import (build_training_table, expected_utility, optimize_decision,
-                     posterior_sample, train_posterior_net, train_utility_net)
-from .errors import DataError
+from .engine import (OptimizationResult, QuantileNet, build_training_table,
+                     expected_utility, optimize_decision, posterior_sample,
+                     train_posterior_net, train_utility_net)
+from .errors import DataError, UsageError
 from .models import RandomSource, summary_mean
 from .net import TrainConfig, save_net
 from .special import normal_cdf
 from .svgplot import Series, VLine, line_plot
+from .tables import TrainingTable
+
+_EU_SCHEMES = ("uniform_grid", "random")
+
+
+def _merge(base: dict, override: Optional[dict]) -> dict:
+    out = dict(base)
+    for key, val in (override or {}).items():
+        if isinstance(val, dict) and isinstance(out.get(key), dict):
+            out[key] = _merge(out[key], val)
+        else:
+            out[key] = val
+    return out
+
+
+def _checked_int(value, name: str, low: int, high: Optional[int] = None) -> int:
+    try:
+        number = int(value)
+    except (TypeError, ValueError):
+        raise UsageError(f"{name} must be an integer, got {value!r}") from None
+    if number < low or (high is not None and number > high):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise UsageError(f"{name} must be {bound}, got {number}")
+    return number
+
+
+class ExperimentConfig:
+    """A preset merged with overrides, every field a stage reads checked once.
+
+    The preset, when given, names the experiment; otherwise the merged
+    document's `experiment` (or `name`) does. `doc` is the merged document
+    with the checked `simulate`, `eu` and `optimize` sections in place, as
+    the presets' builders read it. Bad values raise `UsageError`.
+    """
+
+    def __init__(self, preset: Optional[str] = None, overrides: Optional[dict] = None):
+        base = {}
+        if preset:
+            try:
+                base = presets.get_preset(preset)
+            except DataError as exc:
+                raise UsageError(str(exc)) from exc
+        doc = _merge(base, overrides)
+        self.experiment = preset or doc.get("experiment", doc.get("name", "custom"))
+        self.model = doc.get("model", {})
+
+        sim = dict(doc.get("simulate", {}))
+        sim["seed"] = _checked_int(sim.get("seed", 0), "simulate.seed", 0, 2 ** 64 - 1)
+        if "N" in sim:
+            sim["N"] = _checked_int(sim["N"], "simulate.N", 1)
+        sim["grid_size"] = _checked_int(sim.get("grid_size", 101), "simulate.grid_size", 2)
+        sim["sorted_pairing"] = bool(sim.get("sorted_pairing", False))
+        opt = dict(doc.get("optimize", {}))
+        opt["grid_size"] = _checked_int(opt.get("grid_size", 101), "optimize.grid_size", 2)
+        opt["refine"] = bool(opt.get("refine", True))
+        eu = dict(doc.get("eu", {}))
+        eu["M"] = _checked_int(eu.get("M", 1024), "eu.M", 2)
+        eu["scheme"] = eu.get("scheme", "uniform_grid")
+        if eu["scheme"] not in _EU_SCHEMES:
+            raise UsageError(f"eu.scheme must be one of {', '.join(_EU_SCHEMES)}, "
+                             f"got {eu['scheme']!r}")
+        try:
+            self.train = TrainConfig(**doc.get("train", {}))
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"bad train configuration: {exc}") from exc
+        doc.update(simulate=sim, optimize=opt, eu=eu)
+        self.doc, self.simulate, self.optimize, self.eu = doc, sim, opt, eu
+
+    def eu_rng(self) -> Optional[RandomSource]:
+        """The tau stream of the random EU scheme; None for the grid."""
+        if self.eu["scheme"] != "random":
+            return None
+        return RandomSource(seed=self.simulate["seed"]).substream(7)
+
+
+def simulate_table(cfg: ExperimentConfig) -> TrainingTable:
+    """Simulate the experiment's training table from its spec, utility and
+    decision grid."""
+    if not cfg.model or "N" not in cfg.simulate:
+        raise UsageError("simulate needs --preset or --config with model "
+                         "parameters and simulate.N")
+    if cfg.experiment == presets.PORTFOLIO:
+        problem = presets.build_portfolio(cfg.doc)
+        parts = {"model": presets.portfolio_model_spec(problem),
+                 "utility": problem.utility_spec(),
+                 "decisions": presets.decision_grid(cfg.doc)}
+    elif cfg.experiment == presets.NORMAL_NORMAL:
+        parts = {"model": presets.build_normal_normal(cfg.doc).spec()}
+    else:
+        raise UsageError(f"unknown experiment {cfg.experiment!r}")
+    sim = cfg.simulate
+    return build_training_table(N=sim["N"], rng=RandomSource(seed=sim["seed"]),
+                                sorted_pairing=sim["sorted_pairing"], **parts)
+
+
+def optimize_net(qnet: QuantileNet, cfg: ExperimentConfig) -> OptimizationResult:
+    """Maximize the utility net's expected utility over the decision domain."""
+    M, scheme, rng = cfg.eu["M"], cfg.eu["scheme"], cfg.eu_rng()
+
+    def evaluator(d):
+        return expected_utility(qnet, d=d, M=M, scheme=scheme, rng=rng)
+
+    domain = cfg.model.get("weight_domain", cfg.optimize.get("domain", (0.0, 1.0)))
+    return optimize_decision(evaluator, domain,
+                             grid_size=cfg.optimize["grid_size"],
+                             refine=cfg.optimize["refine"],
+                             config={"experiment": cfg.experiment, "M": M,
+                                     "scheme": scheme},
+                             seed=cfg.simulate["seed"])
 
 
 @dataclass
@@ -98,32 +212,22 @@ def _write_csv(path, header, columns):
             writer.writerow([format(v, ".17g") for v in row])
 
 
-def _merge(base: dict, override: Optional[dict]) -> dict:
-    out = dict(base)
-    for key, val in (override or {}).items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], val)
-        else:
-            out[key] = val
-    return out
-
-
 def run_normal_normal(outdir, overrides: Optional[dict] = None,
                       structural_only: bool = False) -> ReproReport:
     """Conjugate-model reproduction: panel data, distortion identity, and
     (unless structural_only) the trained-posterior recovery checks."""
     t0 = time.perf_counter()
+    cfg = ExperimentConfig(presets.NORMAL_NORMAL, overrides)
     os.makedirs(outdir, exist_ok=True)
-    config = _merge(presets.get_preset(presets.NORMAL_NORMAL), overrides)
-    report = ReproReport(experiment=presets.NORMAL_NORMAL)
+    report = ReproReport(experiment=cfg.experiment)
 
-    model = presets.build_normal_normal(config)
-    y_obs = presets.generate_observed_data(config)
+    model = presets.build_normal_normal(cfg.doc)
+    y_obs = presets.generate_observed_data(cfg.doc)
     post = conjugate_posterior(model, y_obs)
     w = wang_params(model, y_obs)
     alpha = math.sqrt(model.prior_variance)
     sigma = math.sqrt(model.likelihood_variance)
-    true_theta = float(config["model"]["true_theta"])
+    true_theta = float(cfg.doc["model"]["true_theta"])
 
     theta = np.arange(-15.0, 15.0 + 1e-9, 0.05)
     prior_pdf = _normal_pdf(theta, model.prior_mean, alpha)
@@ -181,17 +285,13 @@ def run_normal_normal(outdir, overrides: Optional[dict] = None,
                detail=f"sigma_star={post.sigma_star:.6f}")
 
     if not structural_only:
-        sim = config["simulate"]
-        rng = RandomSource(seed=int(sim["seed"]))
-        table = build_training_table(model.spec(), N=int(sim["N"]), rng=rng,
-                                     sorted_pairing=bool(sim["sorted_pairing"]))
-        H, _ = train_posterior_net(table, TrainConfig(**config["train"]))
+        H, _ = train_posterior_net(simulate_table(cfg), cfg.train)
         net_path = os.path.join(outdir, "posterior_net.json")
         save_net(H.net, net_path)
         report.artifacts.append(net_path)
 
-        M = int(config["posterior"]["M"])
-        draw_rng = RandomSource(seed=int(config["posterior"]["sample_seed"]),
+        M = int(cfg.doc["posterior"]["M"])
+        draw_rng = RandomSource(seed=int(cfg.doc["posterior"]["sample_seed"]),
                                 stream=1)
         s_obs = summary_mean(y_obs)
         draws = posterior_sample(H, [s_obs], M=M, rng=draw_rng)
@@ -216,17 +316,16 @@ def run_normal_normal(outdir, overrides: Optional[dict] = None,
 
 
 def run_portfolio(outdir, overrides: Optional[dict] = None,
-                  structural_only: bool = False,
-                  write_table: bool = False) -> ReproReport:
+                  structural_only: bool = False) -> ReproReport:
     """Portfolio reproduction: EU curves with the 0.4 marker and (unless
     structural_only) the trained-utility-net weight recovery check."""
     t0 = time.perf_counter()
+    cfg = ExperimentConfig(presets.PORTFOLIO, overrides)
     os.makedirs(outdir, exist_ok=True)
-    config = _merge(presets.get_preset(presets.PORTFOLIO), overrides)
-    report = ReproReport(experiment=presets.PORTFOLIO)
+    report = ReproReport(experiment=cfg.experiment)
 
-    problem = presets.build_portfolio(config)
-    grid = presets.decision_grid(config)
+    problem = presets.build_portfolio(cfg.doc)
+    grid = presets.decision_grid(cfg.doc)
     kelly = kelly_weight(problem)
     analytic_curve = cara_normal_eu(grid, problem)
 
@@ -245,36 +344,12 @@ def run_portfolio(outdir, overrides: Optional[dict] = None,
     vlines = [VLine(float(kelly), label=f"{float(kelly):.2f}", color="#d62728")]
 
     if not structural_only:
-        sim = config["simulate"]
-        rng = RandomSource(seed=int(sim["seed"]))
-        spec = presets.portfolio_model_spec(problem)
-        utility = problem.utility_spec()
-        table = build_training_table(spec, utility=utility, decisions=grid,
-                                     N=int(sim["N"]), rng=rng,
-                                     sorted_pairing=bool(sim["sorted_pairing"]))
-        if write_table:
-            t_path = os.path.join(outdir, "table.csv")
-            table.to_csv(t_path)
-            report.artifacts.append(t_path)
-        G, _ = train_utility_net(table, TrainConfig(**config["train"]))
+        G, _ = train_utility_net(simulate_table(cfg), cfg.train)
         net_path = os.path.join(outdir, "utility_net.json")
         save_net(G.net, net_path)
         report.artifacts.append(net_path)
 
-        eu_cfg = config["eu"]
-
-        def evaluator(d):
-            return expected_utility(G, d=d, M=int(eu_cfg["M"]),
-                                    scheme=eu_cfg["scheme"])
-
-        opt_cfg = config["optimize"]
-        result = optimize_decision(evaluator, problem.weight_domain,
-                                   grid_size=int(opt_cfg["grid_size"]),
-                                   refine=bool(opt_cfg["refine"]),
-                                   config={"preset": presets.PORTFOLIO,
-                                           "M": int(eu_cfg["M"]),
-                                           "scheme": eu_cfg["scheme"]},
-                                   seed=int(sim["seed"]))
+        result = optimize_net(G, cfg)
         r_json = os.path.join(outdir, "result.json")
         result.save_json(r_json)
         c_csv = os.path.join(outdir, "eu_curve.csv")

@@ -206,6 +206,24 @@ def test_repro_structural_portfolio(tmp_path, capsys):
     assert "PASS kelly_weight_abs_error" in out
 
 
+def test_repro_random_scheme_uses_optimize_stream(tmp_path):
+    cfg = tmp_path / "random.json"
+    cfg.write_text(json.dumps({"train": {"max_epochs": 2, "patience": 2},
+                               "eu": {"M": 64, "scheme": "random"}}))
+    flags = ["--config", str(cfg), "--n", "300", "--grid", "5"]
+    outdir = tmp_path / "pf-repro"
+    # A1 cannot pass on a 300-row, 2-epoch net, so a failed check (3) is fine
+    assert main(["repro", "portfolio", "--out", str(outdir)] + flags) in (0, 3)
+    result = json.loads((outdir / "result.json").read_text())
+    assert result["config"]["scheme"] == "random"
+    assert main(["optimize", "--preset", "portfolio", "--net",
+                 str(outdir / "utility_net.json"), "--out", str(tmp_path / "opt")]
+                + flags) == 0
+    # the same tau stream as `optimize` gives the same curve, byte for byte
+    assert ((outdir / "eu_curve.csv").read_text()
+            == (tmp_path / "opt" / "curve.csv").read_text())
+
+
 def test_repro_unknown_experiment():
     assert main(["repro", "mystery"]) == 1
 
@@ -246,11 +264,26 @@ def test_bad_seed_rejected(tmp_path):
     ["repro", "portfolio", "--structural", "--grid", "1"],
     ["optimize", "--net", "{net}", "--grid", "1"],
     ["eu", "--net", "{net}", "--decision", "0.4", "--m", "1"],
-], ids=["simulate-grid0", "repro-grid1", "optimize-grid1", "eu-m1"])
+    ["repro", "portfolio", "--seed", "-1"],
+    ["repro", "normal-normal", "--n", "0"],
+    ["repro", "portfolio", "--config", {"train": {"foo": 1}}],
+    ["optimize", "--net", "{net}", "--config", {"eu": {"M": 1}}],
+    ["optimize", "--net", "{net}", "--config", {"eu": {"scheme": "bogus"}}],
+], ids=["simulate-grid0", "repro-grid1", "optimize-grid1", "eu-m1",
+        "repro-seed-1", "repro-n0", "repro-train-key", "optimize-eu-m1",
+        "optimize-eu-scheme"])
 def test_too_small_grid_or_m_is_usage_error(tmp_path, capsys, argv):
     net_path = tmp_path / "net.json"
     save_net(DenseNet.initialized((2, 8, 1), seed=0), net_path)
-    argv = [a.format(net=net_path) for a in argv] + ["--out", str(tmp_path / "out")]
+    config_path = tmp_path / "config.json"
+
+    def arg(a):
+        if isinstance(a, dict):
+            config_path.write_text(json.dumps(a))
+            return str(config_path)
+        return a.format(net=net_path)
+
+    argv = [arg(a) for a in argv] + ["--out", str(tmp_path / "out")]
     assert main(argv) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
