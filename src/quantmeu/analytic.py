@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -182,7 +182,6 @@ class DistributionView:
     cdf: Callable
     quantile: Callable
     support: tuple = (-math.inf, math.inf)
-    name: str = "distribution"
 
     def survival(self, x):
         return 1.0 - self.cdf(x)
@@ -194,7 +193,7 @@ def normal_view(mean: float = 0.0, sd: float = 1.0) -> DistributionView:
     return DistributionView(
         cdf=lambda x: normal_cdf((np.asarray(x, dtype=np.float64) - mean) / sd),
         quantile=lambda p: mean + sd * normal_quantile(p),
-        support=(-math.inf, math.inf), name=f"normal({mean},{sd})")
+        support=(-math.inf, math.inf))
 
 
 def exponential_view(rate: float = 1.0) -> DistributionView:
@@ -203,7 +202,7 @@ def exponential_view(rate: float = 1.0) -> DistributionView:
     return DistributionView(
         cdf=lambda x: -np.expm1(-rate * np.maximum(np.asarray(x, dtype=np.float64), 0.0)),
         quantile=lambda p: -np.log1p(-np.asarray(p, dtype=np.float64)) / rate,
-        support=(0.0, math.inf), name=f"exponential({rate})")
+        support=(0.0, math.inf))
 
 
 def uniform_view(a: float = 0.0, b: float = 1.0) -> DistributionView:
@@ -212,7 +211,7 @@ def uniform_view(a: float = 0.0, b: float = 1.0) -> DistributionView:
     return DistributionView(
         cdf=lambda x: np.clip((np.asarray(x, dtype=np.float64) - a) / (b - a), 0.0, 1.0),
         quantile=lambda p: a + (b - a) * np.asarray(p, dtype=np.float64),
-        support=(a, b), name=f"uniform({a},{b})")
+        support=(a, b))
 
 
 def lognormal_view(mu: float = 0.0, sigma: float = 1.0) -> DistributionView:
@@ -229,7 +228,7 @@ def lognormal_view(mu: float = 0.0, sigma: float = 1.0) -> DistributionView:
     return DistributionView(
         cdf=cdf,
         quantile=lambda p: np.exp(mu + sigma * normal_quantile(p)),
-        support=(0.0, math.inf), name=f"lognormal({mu},{sigma})")
+        support=(0.0, math.inf))
 
 
 def constant_view(c: float) -> DistributionView:
@@ -237,7 +236,7 @@ def constant_view(c: float) -> DistributionView:
         cdf=lambda x: (np.asarray(x, dtype=np.float64) >= c).astype(np.float64),
         quantile=lambda p: np.full_like(np.asarray(p, dtype=np.float64), c)
         if np.asarray(p).ndim else float(c),
-        support=(c, c), name=f"constant({c})")
+        support=(c, c))
 
 
 def _quantile_integral(dist: DistributionView, u: float, M: int):
@@ -270,8 +269,8 @@ def lorenz_point(dist: DistributionView, u: float, M: int = DEFAULT_M) -> float:
     return num / Z
 
 
-def expectation_via_survival(dist: DistributionView, M: int = DEFAULT_M) -> float:
-    """E(U) as the integral of the survival function over [0, q(1-1e-8)].
+def _survival_integral(dist: DistributionView, g: Callable, M: int) -> float:
+    """Midpoint rule for int g(S(t)) dt over [0, q(1-1e-8)].
 
     Needs an effectively nonnegative variable, probed through the extreme
     lower quantile rather than the declared support so a normal located
@@ -280,7 +279,7 @@ def expectation_via_survival(dist: DistributionView, M: int = DEFAULT_M) -> floa
     if M < 1:
         raise ValueError("M must be >= 1")
     if float(np.asarray(dist.quantile(1e-12))) < -1e-8:
-        raise DomainError("survival-integral route needs nonnegative support; "
+        raise DomainError("survival integrals need nonnegative support; "
                           "use the quantile-integral route instead")
     upper = float(np.asarray(dist.quantile(1.0 - _TAIL)))
     if not math.isfinite(upper):
@@ -288,35 +287,29 @@ def expectation_via_survival(dist: DistributionView, M: int = DEFAULT_M) -> floa
     if upper <= 0.0:
         return 0.0
     t = upper * (np.arange(M) + 0.5) / M
-    s = np.asarray(dist.survival(t), dtype=np.float64)
-    if not np.all(np.isfinite(s)):
-        raise NumericError("survival evaluation returned non-finite values")
-    return float(s.sum() * upper / M)
+    s = np.clip(np.asarray(dist.survival(t), dtype=np.float64), 0.0, 1.0)
+    vals = np.asarray(g(s), dtype=np.float64)
+    if not np.all(np.isfinite(vals)):
+        raise NumericError("survival integrand returned non-finite values")
+    return float(vals.sum() * upper / M)
+
+
+def expectation_via_survival(dist: DistributionView, M: int = DEFAULT_M) -> float:
+    """E(U) as the integral of the survival function over [0, q(1-1e-8)]."""
+    return _survival_integral(dist, lambda s: s, M)
 
 
 def distorted_expectation(dist: DistributionView, g: Callable,
                           M: int = DEFAULT_M) -> float:
     """Dual-theory value int g(S(t)) dt over the payout axis."""
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    if float(np.asarray(dist.quantile(1e-12))) < -1e-8:
-        raise DomainError("distorted expectation integrates over nonnegative payouts")
     g0 = float(np.asarray(g(0.0)))
     g1 = float(np.asarray(g(1.0)))
     if abs(g0) > 1e-9 or abs(g1 - 1.0) > 1e-9:
         raise DataError(f"distortion endpoints g(0)={g0}, g(1)={g1} must be 0 and 1")
-    upper = float(np.asarray(dist.quantile(1.0 - _TAIL)))
-    if upper <= 0.0:
-        return 0.0
-    t = upper * (np.arange(M) + 0.5) / M
-    s = np.clip(np.asarray(dist.survival(t), dtype=np.float64), 0.0, 1.0)
-    vals = np.asarray(g(s), dtype=np.float64)
-    if not np.all(np.isfinite(vals)):
-        raise NumericError("distortion evaluation returned non-finite values")
-    return float(vals.sum() * upper / M)
+    return _survival_integral(dist, g, M)
 
 
-def yaari_g(u: Callable, dist: DistributionView, bracket_tol: float = 1e-12) -> Callable:
+def yaari_g(u: Callable, dist: DistributionView) -> Callable:
     """Distortion carrying S_X to S_{u(X)}: g(p) = S_X(u_inv(S_X_inv(p))).
 
     The utility u must be strictly increasing on the support; its inverse
@@ -361,7 +354,7 @@ def yaari_g(u: Callable, dist: DistributionView, bracket_tol: float = 1e-12) -> 
                 a = mid
             else:
                 b = mid
-            if b - a <= bracket_tol * max(1.0, abs(a), abs(b)):
+            if b - a <= 1e-12 * max(1.0, abs(a), abs(b)):
                 break
         return 0.5 * (a + b)
 
@@ -371,28 +364,23 @@ def yaari_g(u: Callable, dist: DistributionView, bracket_tol: float = 1e-12) -> 
         arr = np.atleast_1d(arr)
         if np.any(arr < 0.0) or np.any(arr > 1.0):
             raise DomainError("distortion argument must lie in [0,1]")
-        out = np.empty_like(arr)
-        for i, pi in enumerate(arr):
-            if pi == 0.0:
-                out[i] = 0.0
-            elif pi == 1.0:
-                out[i] = 1.0
-            else:
-                t = float(np.asarray(dist.quantile(1.0 - pi)))
-                x = u_inverse(t)
-                out[i] = float(np.asarray(dist.survival(x)))
+        out = np.where(arr == 1.0, 1.0, 0.0)
+        inner = (arr != 0.0) & (arr != 1.0)
+        if np.any(inner):
+            t = np.asarray(dist.quantile(1.0 - arr[inner]), dtype=np.float64)
+            x = np.array([u_inverse(float(ti)) for ti in t])
+            out[inner] = dist.survival(x)
         out = np.clip(out, 0.0, 1.0)
         return float(out[0]) if scalar else out
 
     return g
 
 
-def silver_normalization(g: Callable, dist: Optional[DistributionView] = None,
-                         M: int = DEFAULT_M, h: float = 1e-6) -> float:
+def silver_normalization(g: Callable, M: int = DEFAULT_M, h: float = 1e-6) -> float:
     """Integral of g'(1 - tau) over the unit interval; telescopes to 1.
 
     Equals int g'(S_X(t)) dF_X(t) for any continuous distribution after
-    the tau substitution, so `dist` does not enter the computation.
+    the tau substitution, so no distribution enters the computation.
     Derivative stencils that would leave [0,1] are clipped (a warning is
     issued); g must therefore be defined at 0 and 1.
     """

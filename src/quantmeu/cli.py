@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -48,8 +49,9 @@ def _overrides(args) -> dict:
                                 ("optimize", "grid_size", args.grid),
                                 ("eu", "M", getattr(args, "m", None)),
                                 ("eu", "scheme", getattr(args, "scheme", None))):
-        if value is not None:
-            doc.setdefault(section, {})[key] = value
+        # a section that is not an object is left for ExperimentConfig to report
+        if value is not None and isinstance(doc.setdefault(section, {}), dict):
+            doc[section][key] = value
     return doc
 
 
@@ -109,6 +111,10 @@ def _load_quantile_net(path, role: str) -> QuantileNet:
 def cmd_optimize(args) -> int:
     cfg = _load_config(args)
     outdir = _outdir(args)
+    vlines = []
+    if cfg.experiment == presets.PORTFOLIO and cfg.model:
+        kelly = float(kelly_weight(cfg.build(presets.build_portfolio)))
+        vlines.append(VLine(kelly, label=f"{kelly:.2f}", color="#d62728"))
     result = repro.optimize_net(_load_quantile_net(args.net, "utility"), cfg)
 
     result_path = os.path.join(outdir, "result.json")
@@ -117,11 +123,8 @@ def cmd_optimize(args) -> int:
     result.curve_to_csv(curve_path)
 
     curve = np.array([[d, eu] for d, eu, _ in result.curve])
-    vlines = [VLine(result.best_decision, label=f"est {result.best_decision:.3f}",
-                    color="#2ca02c")]
-    if cfg.experiment == presets.PORTFOLIO and cfg.model:
-        kelly = float(kelly_weight(presets.build_portfolio(cfg.doc)))
-        vlines.insert(0, VLine(kelly, label=f"{kelly:.2f}", color="#d62728"))
+    vlines.append(VLine(result.best_decision, label=f"est {result.best_decision:.3f}",
+                        color="#2ca02c"))
     svg_path = os.path.join(outdir, "curve.svg")
     line_plot(svg_path, [Series(curve[:, 0], curve[:, 1], "EU estimate")],
               title="Expected utility", xlabel="decision",
@@ -137,6 +140,8 @@ def cmd_optimize(args) -> int:
 
 def cmd_eu(args) -> int:
     cfg = _load_config(args)
+    if not math.isfinite(args.decision):
+        raise UsageError(f"--decision must be finite, got {args.decision}")
     qnet = _load_quantile_net(args.net, args.role)
     M, scheme = cfg.eu["M"], cfg.eu["scheme"]
     cond = {"d": args.decision} if qnet.role == "utility" else {"y_obs": [args.decision]}

@@ -12,7 +12,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -33,7 +33,6 @@ class QuantileNet:
     net: DenseNet
     role: str
     conditioning_dim: int
-    trained: bool = True
 
     def __post_init__(self):
         if self.role not in ("posterior", "utility"):
@@ -167,55 +166,28 @@ def train_utility_net(table: TrainingTable, config: Optional[TrainConfig] = None
     return _train_quantile_net(table.utility_design(), "utility", 1, config, hidden)
 
 
-def _as_condition(qnet: QuantileNet, y_obs, summary=None) -> np.ndarray:
-    if summary is not None:
-        return np.atleast_1d(np.asarray(summary(y_obs), dtype=np.float64))
-    cond = np.asarray(y_obs, dtype=np.float64).reshape(-1)
-    if cond.shape[0] != qnet.conditioning_dim:
-        raise ShapeError(
-            f"observed condition has length {cond.shape[0]} but the net expects "
-            f"{qnet.conditioning_dim}; pass a summary callable for raw data")
-    return cond
-
-
 def posterior_sample(H: QuantileNet, y_obs, M: int = 1000,
-                     rng: Optional[RandomSource] = None, summary=None,
-                     taus=None, sorted_grid: bool = False) -> np.ndarray:
-    """Draw M posterior values H(S(y_obs), tau) with tau ~ U(0,1).
+                     rng: Optional[RandomSource] = None, taus=None) -> np.ndarray:
+    """Draw M posterior values H(y_obs, tau) with tau ~ U(0,1).
 
-    `y_obs` is either the summary value itself or raw data paired with a
-    `summary` callable. Supplying `taus` overrides the random draw. With
-    `sorted_grid` the taus are sorted and the outputs monotone-rearranged.
+    `y_obs` is the summary value the net is conditioned on. Supplying
+    `taus` overrides the random draw.
     """
-    if not H.trained:
-        raise DataError("posterior net has not been trained")
     if H.role != "posterior":
         raise ValueError("posterior_sample needs a posterior-role net")
-    cond = _as_condition(H, y_obs, summary)
     if taus is None:
         if M < 1:
             raise ValueError("M must be >= 1")
         if rng is None:
             raise ValueError("an explicit RandomSource (or taus) is required")
         taus = rng.uniform(M)
-    else:
-        taus = np.asarray(taus, dtype=np.float64).reshape(-1)
-        if taus.size == 0:
-            raise DataError("tau grid must be nonempty")
-    if sorted_grid:
-        return H.quantile_curve(cond, taus)
-    return H.evaluate(cond, taus)
+    return H.evaluate(y_obs, taus)
 
 
 def compose_utility_samples(H: QuantileNet, utility: UtilitySpec, d: float,
-                            y_obs, taus, summary=None) -> np.ndarray:
-    """Utility draws U(d, H(S(y_obs), tau_i)) for each tau_i."""
-    if not H.trained:
-        raise DataError("posterior net has not been trained")
-    taus = np.asarray(taus, dtype=np.float64).reshape(-1)
-    if taus.size == 0:
-        raise DataError("tau grid must be nonempty")
-    theta = posterior_sample(H, y_obs, summary=summary, taus=taus)
+                            y_obs, taus) -> np.ndarray:
+    """Utility draws U(d, H(y_obs, tau_i)) for each tau_i."""
+    theta = posterior_sample(H, y_obs, taus=taus)
     out = np.asarray(utility.evaluate(np.full(theta.shape, float(d)), theta),
                      dtype=np.float64)
     if not np.all(np.isfinite(out)):
@@ -225,7 +197,7 @@ def compose_utility_samples(H: QuantileNet, utility: UtilitySpec, d: float,
 
 def expected_utility(quantile_source, d: Optional[float] = None,
                      y_obs=None, M: int = 1024, scheme: str = "uniform_grid",
-                     rng: Optional[RandomSource] = None, summary=None):
+                     rng: Optional[RandomSource] = None):
     """Estimate E(U) as the integral of the quantile function over (0,1).
 
     `quantile_source` is a utility-role QuantileNet (conditioned on d), a
@@ -253,8 +225,7 @@ def expected_utility(quantile_source, d: Optional[float] = None,
         else:
             if y_obs is None:
                 raise ValueError("y_obs is required for a posterior net")
-            cond = _as_condition(quantile_source, y_obs, summary)
-            values = quantile_source.quantile_curve(cond, taus)
+            values = quantile_source.quantile_curve(y_obs, taus)
     else:
         values = np.asarray(quantile_source(np.sort(taus)), dtype=np.float64).reshape(-1)
         if values.shape[0] != M:
@@ -305,8 +276,7 @@ class OptimizationResult:
 
 
 def optimize_decision(eu_evaluator: Callable, domain, grid_size: int = 101,
-                      refine: bool = True, xtol: float = 1e-9,
-                      config: Optional[dict] = None,
+                      refine: bool = True, config: Optional[dict] = None,
                       seed: Optional[int] = None) -> OptimizationResult:
     """Maximize an EU evaluator d -> (estimate, se) over an interval.
 
@@ -355,7 +325,7 @@ def optimize_decision(eu_evaluator: Callable, domain, grid_size: int = 101,
             c = b - _INVPHI * (b - a)
             e = a + _INVPHI * (b - a)
             fc, fe = f(c), f(e)
-            tol = max(xtol, 1e-15 * max(abs(a), abs(b), 1.0))
+            tol = max(1e-9, 1e-15 * max(abs(a), abs(b), 1.0))
             while (b - a) > tol:
                 if fc > fe:
                     b, e, fe = e, c, fc

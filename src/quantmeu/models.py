@@ -8,8 +8,8 @@ container for user-defined simulators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -107,7 +107,7 @@ class NormalNormalModel:
         if self.n < 1:
             raise ValueError("n must be >= 1")
 
-    def spec(self, summary: Optional[Callable] = None) -> ModelSpec:
+    def spec(self) -> ModelSpec:
         alpha = math.sqrt(self.prior_variance)
         sigma = math.sqrt(self.likelihood_variance)
         mu = self.prior_mean
@@ -118,7 +118,7 @@ class NormalNormalModel:
             theta = Z[:, 0] * alpha + mu
             return theta, Z[:, 1:] * sigma + theta[:, None]
 
-        return ModelSpec(sample=sample, summary=summary or summary_mean,
+        return ModelSpec(sample=sample, summary=summary_mean,
                          n_obs=self.n, draws=1 + self.n, name="normal-normal")
 
 

@@ -32,9 +32,6 @@ class TrainConfig:
     patience: int = 10
     validation_fraction: float = 0.1
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     def __post_init__(self):
         if not self.learning_rate > 0:
@@ -43,10 +40,6 @@ class TrainConfig:
             raise ValueError("batch_size, max_epochs and patience must be >= 1")
         if not 0.0 < self.validation_fraction < 1.0:
             raise ValueError("validation_fraction must be in (0,1)")
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise ValueError("decay rates must be in (0,1)")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
         if not 0 <= int(self.seed) < 2 ** 64:
             raise ValueError("seed must fit in 64 unsigned bits")
 
@@ -271,8 +264,9 @@ def train(net: DenseNet, X, y, tau, config: TrainConfig = None):
             loss, grads = _kernels.loss_grad_batch(params, sizes, w_offs, b_offs,
                                                    Xb, yt[idx], tt[idx])
             step += 1
+            # Adam's beta1, beta2 and epsilon are fixed at the usual values
             _adam_update_inplace(params, m, v, step, grads, config.learning_rate,
-                                 config.beta1, config.beta2, config.epsilon)
+                                 0.9, 0.999, 1e-8)
             loss_sum += loss * idx.size
         val_loss = _pinball_mean(params, sizes, w_offs, b_offs, Xv, yv, tv)
         history.train_loss.append(loss_sum / n_train)

@@ -59,6 +59,13 @@ def _checked_int(value, name: str, low: int, high: Optional[int] = None) -> int:
     return number
 
 
+def _section(doc: dict, name: str) -> dict:
+    section = doc.get(name, {})
+    if not isinstance(section, dict):
+        raise UsageError(f"config section {name!r} must be an object, got {section!r}")
+    return dict(section)
+
+
 class ExperimentConfig:
     """A preset merged with overrides, every field a stage reads checked once.
 
@@ -77,29 +84,37 @@ class ExperimentConfig:
                 raise UsageError(str(exc)) from exc
         doc = _merge(base, overrides)
         self.experiment = preset or doc.get("experiment", doc.get("name", "custom"))
-        self.model = doc.get("model", {})
+        self.model = _section(doc, "model")
 
-        sim = dict(doc.get("simulate", {}))
+        sim = _section(doc, "simulate")
         sim["seed"] = _checked_int(sim.get("seed", 0), "simulate.seed", 0, 2 ** 64 - 1)
         if "N" in sim:
             sim["N"] = _checked_int(sim["N"], "simulate.N", 1)
         sim["grid_size"] = _checked_int(sim.get("grid_size", 101), "simulate.grid_size", 2)
         sim["sorted_pairing"] = bool(sim.get("sorted_pairing", False))
-        opt = dict(doc.get("optimize", {}))
+        opt = _section(doc, "optimize")
         opt["grid_size"] = _checked_int(opt.get("grid_size", 101), "optimize.grid_size", 2)
         opt["refine"] = bool(opt.get("refine", True))
-        eu = dict(doc.get("eu", {}))
+        eu = _section(doc, "eu")
         eu["M"] = _checked_int(eu.get("M", 1024), "eu.M", 2)
         eu["scheme"] = eu.get("scheme", "uniform_grid")
         if eu["scheme"] not in _EU_SCHEMES:
             raise UsageError(f"eu.scheme must be one of {', '.join(_EU_SCHEMES)}, "
                              f"got {eu['scheme']!r}")
         try:
-            self.train = TrainConfig(**doc.get("train", {}))
+            self.train = TrainConfig(**_section(doc, "train"))
         except (TypeError, ValueError) as exc:
             raise UsageError(f"bad train configuration: {exc}") from exc
         doc.update(simulate=sim, optimize=opt, eu=eu)
         self.doc, self.simulate, self.optimize, self.eu = doc, sim, opt, eu
+
+    def build(self, builder):
+        """`builder(doc)`; a key the document lacks is reported as a `UsageError`."""
+        try:
+            return builder(self.doc)
+        except KeyError as exc:
+            raise UsageError(f"the {self.experiment} config lacks key "
+                             f"{exc.args[0]!r}") from None
 
     def eu_rng(self) -> Optional[RandomSource]:
         """The tau stream of the random EU scheme; None for the grid."""
@@ -115,12 +130,12 @@ def simulate_table(cfg: ExperimentConfig) -> TrainingTable:
         raise UsageError("simulate needs --preset or --config with model "
                          "parameters and simulate.N")
     if cfg.experiment == presets.PORTFOLIO:
-        problem = presets.build_portfolio(cfg.doc)
+        problem = cfg.build(presets.build_portfolio)
         parts = {"model": presets.portfolio_model_spec(problem),
                  "utility": problem.utility_spec(),
-                 "decisions": presets.decision_grid(cfg.doc)}
+                 "decisions": cfg.build(presets.decision_grid)}
     elif cfg.experiment == presets.NORMAL_NORMAL:
-        parts = {"model": presets.build_normal_normal(cfg.doc).spec()}
+        parts = {"model": cfg.build(presets.build_normal_normal).spec()}
     else:
         raise UsageError(f"unknown experiment {cfg.experiment!r}")
     sim = cfg.simulate

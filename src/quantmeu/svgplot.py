@@ -8,8 +8,8 @@ package's figures at the data level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -26,7 +26,6 @@ class Series:
     x: np.ndarray
     y: np.ndarray
     label: str = ""
-    color: Optional[str] = None
     dashed: bool = False
 
     def __post_init__(self):
@@ -169,7 +168,7 @@ def line_plot(path, series: Sequence[Series], title: str = "",
 
     legend_y = MARGIN["top"] + 8
     for i, s in enumerate(series):
-        color = s.color or _PALETTE[i % len(_PALETTE)]
+        color = _PALETTE[i % len(_PALETTE)]
         pts = [to_px(x, y) for x, y in zip(s.x, s.y)]
         doc.polyline(pts, color=color, dashed=s.dashed)
         if s.label:

@@ -106,7 +106,7 @@ class TrainingTable:
                 ])
 
     @classmethod
-    def from_csv(cls, path, provenance: Optional[dict] = None) -> "TrainingTable":
+    def from_csv(cls, path) -> "TrainingTable":
         with open(path, "r", newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = tuple(next(reader, ()))
@@ -132,5 +132,4 @@ class TrainingTable:
 
         return cls(theta=parse("theta"), summary=parse("summary"),
                    tau=parse("tau"), decision=parse("decision", optional=True),
-                   utility=parse("utility", optional=True),
-                   provenance=provenance or {})
+                   utility=parse("utility", optional=True))

@@ -232,7 +232,7 @@ def test_lorenz_point_flags_nonintegrable_mean():
     # tail term dominates the normalizer
     pareto = DistributionView(cdf=lambda x: 1 - 1 / np.maximum(x, 1.0),
                               quantile=lambda s: 1 / (1 - np.asarray(s)),
-                              support=(1.0, math.inf), name="pareto-1")
+                              support=(1.0, math.inf))
     with pytest.raises(NumericError):
         lorenz_point(pareto, 0.5)
 
@@ -262,6 +262,18 @@ def test_yaari_g_domain_check():
     g = yaari_g(math.sqrt, exponential_view(1.0))
     with pytest.raises(DomainError):
         g(1.5)
+
+
+@pytest.mark.parametrize("u, dist", [
+    (math.sqrt, lognormal_view(0.0, 0.5)),
+    (math.log1p, exponential_view(1.0)),
+    (lambda x: 0.5 * x, uniform_view(0.0, 2.0)),
+])
+def test_yaari_g_array_matches_elementwise(u, dist):
+    # g evaluates a whole array at once; element by element is the reference
+    g = yaari_g(u, dist)
+    p = np.concatenate([[0.0, 1.0], np.linspace(1e-6, 1.0 - 1e-6, 101)])
+    np.testing.assert_array_equal(g(p), [g(float(pi)) for pi in p])
 
 
 def test_silver_normalization_identity_exact():

@@ -269,9 +269,18 @@ def test_bad_seed_rejected(tmp_path):
     ["repro", "portfolio", "--config", {"train": {"foo": 1}}],
     ["optimize", "--net", "{net}", "--config", {"eu": {"M": 1}}],
     ["optimize", "--net", "{net}", "--config", {"eu": {"scheme": "bogus"}}],
+    ["simulate", "--config", {"experiment": "portfolio", "model": {"risk_free": 0.05}},
+     "--n", "10"],
+    ["simulate", "--config", {"simulate": 5}, "--n", "10"],
+    ["simulate", "--config", {"simulate": 5}],
+    ["eu", "--net", "{net}", "--decision", "nan"],
+    ["eu", "--net", "{net}", "--decision", "inf"],
+    ["optimize", "--net", "{net}", "--config", {"train": {"beta1": 0.8}}],
 ], ids=["simulate-grid0", "repro-grid1", "optimize-grid1", "eu-m1",
         "repro-seed-1", "repro-n0", "repro-train-key", "optimize-eu-m1",
-        "optimize-eu-scheme"])
+        "optimize-eu-scheme", "simulate-model-key", "simulate-section-n",
+        "simulate-section", "eu-decision-nan", "eu-decision-inf",
+        "optimize-train-beta1"])
 def test_too_small_grid_or_m_is_usage_error(tmp_path, capsys, argv):
     net_path = tmp_path / "net.json"
     save_net(DenseNet.initialized((2, 8, 1), seed=0), net_path)

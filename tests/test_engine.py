@@ -325,8 +325,7 @@ def test_posterior_sample_modes(identity_posterior):
     d1 = posterior_sample(qnet, 0.5, M=32, rng=RandomSource(0))
     d2 = posterior_sample(qnet, 0.5, M=32, rng=RandomSource(0))
     np.testing.assert_array_equal(d1, d2)
-    sorted_draws = posterior_sample(qnet, 0.5, taus=np.linspace(0.4, 0.6, 9),
-                                    sorted_grid=True)
+    sorted_draws = qnet.quantile_curve(0.5, np.linspace(0.4, 0.6, 9))
     assert np.all(np.diff(sorted_draws) >= 0)
     with pytest.raises(ValueError):
         posterior_sample(qnet, 0.5, M=32)
