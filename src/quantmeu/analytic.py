@@ -1,11 +1,11 @@
 """Closed-form counterparts and dual-theory machinery.
 
 Conjugate normal-normal posterior, the Wang distortion that carries the
-prior survival to the posterior survival, quantile-composition posterior
-updating, Lorenz and survival-integral representations of expectations,
-distorted expectations with the Yaari construction, a telescoping
-normalization check for distortion derivatives, and the CARA-normal
-expected utility with its closed-form optimal weight.
+prior survival to the posterior survival, survival-integral
+representations of expectations, distorted expectations with the Yaari
+construction, a telescoping normalization check for distortion
+derivatives, and the CARA-normal expected utility with its closed-form
+optimal weight.
 """
 
 from __future__ import annotations
@@ -130,12 +130,6 @@ def wang_g(p, w: WangDistortion):
     return normal_cdf(w.lambda1 * normal_quantile(p) + w.lam)
 
 
-def wang_g_inverse(q, w: WangDistortion):
-    """Inverse distortion Phi((Phi^{-1}(q) - lam) / lambda1)."""
-    _check_open_unit(q, "q")
-    return normal_cdf((normal_quantile(q) - w.lam) / w.lambda1)
-
-
 def prior_to_posterior_survival_check(theta_grid, model: NormalNormalModel, y) -> float:
     """Worst |posterior survival - g(prior survival)| over the grid.
 
@@ -152,19 +146,6 @@ def prior_to_posterior_survival_check(theta_grid, model: NormalNormalModel, y) -
     prior_surv = normal_cdf(-(theta_grid - model.prior_mean) / alpha)
     rhs = w(prior_surv)
     return float(np.max(np.abs(post_surv - rhs)))
-
-
-def posterior_quantile_via_distortion(u, model: NormalNormalModel, y):
-    """Posterior quantile through the prior quantile and the distortion.
-
-    Q_post(u) = Q_prior(1 - g_inverse(1 - u)); algebraically equal to
-    mu_star + sigma_star * Phi^{-1}(u).
-    """
-    u = _check_open_unit(u, "u")
-    w = wang_params(model, y)
-    alpha = math.sqrt(model.prior_variance)
-    p = 1.0 - wang_g_inverse(1.0 - u, w)
-    return model.prior_mean + alpha * normal_quantile(p)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +201,6 @@ def lognormal_view(mu: float = 0.0, sigma: float = 1.0) -> DistributionView:
 
     def cdf(x):
         x = np.asarray(x, dtype=np.float64)
-        out = np.zeros_like(x, dtype=np.float64)
         pos = x > 0
         out = np.where(pos, normal_cdf((np.log(np.where(pos, x, 1.0)) - mu) / sigma), 0.0)
         return out if out.ndim else float(out)
@@ -229,44 +209,6 @@ def lognormal_view(mu: float = 0.0, sigma: float = 1.0) -> DistributionView:
         cdf=cdf,
         quantile=lambda p: np.exp(mu + sigma * normal_quantile(p)),
         support=(0.0, math.inf))
-
-
-def constant_view(c: float) -> DistributionView:
-    return DistributionView(
-        cdf=lambda x: (np.asarray(x, dtype=np.float64) >= c).astype(np.float64),
-        quantile=lambda p: np.full_like(np.asarray(p, dtype=np.float64), c)
-        if np.asarray(p).ndim else float(c),
-        support=(c, c))
-
-
-def _quantile_integral(dist: DistributionView, u: float, M: int):
-    """Midpoint rule for int_0^u quantile(s) ds; also reports the largest term."""
-    if u == 0.0:
-        return 0.0, 0.0
-    s = u * (np.arange(M) + 0.5) / M
-    q = np.asarray(dist.quantile(s), dtype=np.float64)
-    if not np.all(np.isfinite(q)):
-        raise NumericError("quantile evaluation returned non-finite values")
-    terms = q * (u / M)
-    return float(terms.sum()), float(np.max(np.abs(terms)))
-
-
-def lorenz_point(dist: DistributionView, u: float, M: int = DEFAULT_M) -> float:
-    """Normalized partial quantile integral L(u) = (1/Z) int_0^u quantile(s) ds."""
-    if not 0.0 <= u <= 1.0:
-        raise DomainError("u must lie in [0,1]")
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    Z, z_peak = _quantile_integral(dist, 1.0, M)
-    if z_peak > 0.05 * max(1.0, abs(Z)):
-        raise NumericError("quantile integral dominated by a single tail term; "
-                           "the mean looks non-integrable")
-    if abs(Z) < 1e-300:
-        raise NumericError("normalizer E(U) is zero; Lorenz point undefined")
-    if u == 0.0:
-        return 0.0
-    num, _ = _quantile_integral(dist, u, M)
-    return num / Z
 
 
 def _survival_integral(dist: DistributionView, g: Callable, M: int) -> float:
@@ -423,23 +365,9 @@ def cara_normal_eu(weight, problem: PortfolioProblem):
     return float(out) if arr.ndim == 0 else out
 
 
-class ClampedWeight(float):
-    """Float carrying a flag saying whether domain clamping changed it."""
-
-    clamped: bool = False
-    raw: float = 0.0
-
-    def __new__(cls, value: float, clamped: bool, raw: float):
-        obj = super().__new__(cls, value)
-        obj.clamped = bool(clamped)
-        obj.raw = float(raw)
-        return obj
-
-
-def kelly_weight(problem: PortfolioProblem) -> ClampedWeight:
+def kelly_weight(problem: PortfolioProblem) -> float:
     """Optimal weight (mu - r_f) / (sigma^2 gamma), clamped to the domain."""
     raw = (problem.return_mean - problem.risk_free) / (
         problem.return_sd ** 2 * problem.risk_aversion)
     lo, hi = problem.weight_domain
-    value = min(max(raw, lo), hi)
-    return ClampedWeight(value, clamped=(value != raw), raw=raw)
+    return min(max(raw, lo), hi)

@@ -166,33 +166,16 @@ def train_utility_net(table: TrainingTable, config: Optional[TrainConfig] = None
     return _train_quantile_net(table.utility_design(), "utility", 1, config, hidden)
 
 
-def posterior_sample(H: QuantileNet, y_obs, M: int = 1000,
-                     rng: Optional[RandomSource] = None, taus=None) -> np.ndarray:
+def posterior_sample(H: QuantileNet, y_obs, M: int, rng: RandomSource) -> np.ndarray:
     """Draw M posterior values H(y_obs, tau) with tau ~ U(0,1).
 
-    `y_obs` is the summary value the net is conditioned on. Supplying
-    `taus` overrides the random draw.
+    `y_obs` is the summary value the net is conditioned on.
     """
     if H.role != "posterior":
         raise ValueError("posterior_sample needs a posterior-role net")
-    if taus is None:
-        if M < 1:
-            raise ValueError("M must be >= 1")
-        if rng is None:
-            raise ValueError("an explicit RandomSource (or taus) is required")
-        taus = rng.uniform(M)
-    return H.evaluate(y_obs, taus)
-
-
-def compose_utility_samples(H: QuantileNet, utility: UtilitySpec, d: float,
-                            y_obs, taus) -> np.ndarray:
-    """Utility draws U(d, H(y_obs, tau_i)) for each tau_i."""
-    theta = posterior_sample(H, y_obs, taus=taus)
-    out = np.asarray(utility.evaluate(np.full(theta.shape, float(d)), theta),
-                     dtype=np.float64)
-    if not np.all(np.isfinite(out)):
-        raise NumericError("composed utility produced non-finite values")
-    return out
+    if M < 1:
+        raise ValueError("M must be >= 1")
+    return H.evaluate(y_obs, rng.uniform(M))
 
 
 def expected_utility(quantile_source, d: Optional[float] = None,

@@ -36,9 +36,5 @@ class SimulationError(QuantmeuError, RuntimeError):
         return message if self.index is None else f"{message} at row {self.index}"
 
 
-class SingularDesignError(QuantmeuError, ValueError):
-    """Regression design matrix is rank deficient."""
-
-
 class NumericError(QuantmeuError, ArithmeticError):
     """A numeric evaluation diverged or returned non-finite values."""

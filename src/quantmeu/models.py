@@ -13,8 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (DataError, DomainError, NumericError, ShapeError,
-                     SimulationError, SingularDesignError)
+from .errors import DataError, DomainError, NumericError, SimulationError
 from .special import normal_quantile
 
 _TINY = 2.0 ** -54
@@ -62,14 +61,6 @@ class RandomSource:
             raise DomainError("sd must be nonnegative")
         u = self.uniform(n)
         return normal_quantile(u) * sd + mean
-
-    def integers(self, low: int, high: int, n: Optional[int] = None):
-        if n is None:
-            return int(self._gen.integers(low, high))
-        return self._gen.integers(low, high, size=n)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
 
 
 @dataclass
@@ -201,41 +192,6 @@ def summary_mean(y):
     if y.shape[-1] == 0:
         raise DataError("summary_mean needs a nonempty vector")
     return y.mean(axis=-1) if y.ndim > 1 else float(y.mean())
-
-
-@dataclass
-class LinearSummary:
-    """Affine summary y -> intercept + coefficients . y learned by OLS, row by row."""
-
-    intercept: float
-    coefficients: np.ndarray
-
-    def __call__(self, y):
-        y = np.asarray(y, dtype=np.float64)
-        if y.shape[-1:] != self.coefficients.shape:
-            raise ShapeError(f"summary expects rows of length "
-                             f"{self.coefficients.shape[0]}, got shape {y.shape}")
-        out = self.intercept + y @ self.coefficients
-        return float(out) if out.ndim == 0 else out
-
-
-def learn_summary_ols(theta, Y) -> LinearSummary:
-    """Regress theta[N] on the rows of Y[N, k] (with intercept) to learn a linear summary."""
-    theta = np.asarray(theta, dtype=np.float64).reshape(-1)
-    Y = np.asarray(Y, dtype=np.float64)
-    if theta.size == 0:
-        raise DataError("no pairs supplied")
-    if Y.ndim != 2 or Y.shape[0] != theta.size:
-        raise ShapeError(f"Y must have shape ({theta.size}, k), got {Y.shape}")
-    n, k = Y.shape
-    if n < k + 1:
-        raise SingularDesignError(f"need at least {k + 1} pairs for {k} regressors, got {n}")
-    X = np.column_stack([np.ones(n), Y])
-    rank = np.linalg.matrix_rank(X)
-    if rank < k + 1:
-        raise SingularDesignError(f"design matrix rank {rank} < {k + 1}")
-    beta, *_ = np.linalg.lstsq(X, theta, rcond=None)
-    return LinearSummary(intercept=float(beta[0]), coefficients=beta[1:].copy())
 
 
 def cara_utility(W, gamma: float):

@@ -4,7 +4,7 @@ The network maps a real input vector to one scalar and is the function
 approximator behind every quantile map in the package. Training uses
 mini-batch Adam with early stopping on a held-out validation split, and
 standardises inputs and targets internally (the constants travel with the
-net, so `forward` always works in the original data scale).
+net, so `DenseNet.predict` always works in the original data scale).
 """
 
 from __future__ import annotations
@@ -126,22 +126,6 @@ class DenseNet:
         return raw * self.y_scale + self.y_mean
 
 
-def forward(net: DenseNet, x) -> float:
-    """Scalar evaluation of the net at one input vector."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if x.shape[0] != net.input_dim:
-        raise ShapeError(f"input length {x.shape[0]} != expected {net.input_dim}")
-    return float(net.predict(x[None, :])[0])
-
-
-def pinball_loss(prediction: float, target: float, tau: float) -> float:
-    """Quantile check loss; minimised in expectation at the tau-quantile."""
-    if not 0.0 < tau < 1.0:
-        raise DomainError(f"tau must be strictly inside (0,1), got {tau}")
-    e = target - prediction
-    return tau * e if e >= 0.0 else (tau - 1.0) * e
-
-
 def _check_batch(net, X, y, tau):
     X = np.ascontiguousarray(np.atleast_2d(X), dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64).reshape(-1)
@@ -155,17 +139,6 @@ def _check_batch(net, X, y, tau):
     if np.any(tau <= 0.0) or np.any(tau >= 1.0):
         raise DomainError("all tau must be strictly inside (0,1)")
     return X, y, tau
-
-
-def backward(net: DenseNet, X, y, tau):
-    """Mean pinball loss and its gradient w.r.t. every parameter.
-
-    Operates on the raw network map (standardisation constants are not
-    applied); `train` standardises its data before driving this.
-    """
-    X, y, tau = _check_batch(net, X, y, tau)
-    return _kernels.loss_grad_batch(net.params, net._sizes, net._w_offs,
-                                    net._b_offs, X, y, tau)
 
 
 def _adam_update_inplace(params, m, v, t, grads, lr, b1, b2, eps):

@@ -9,13 +9,12 @@ n=100) while the programmatic constructors take variances.
 from __future__ import annotations
 
 import copy
-import math
 
 import numpy as np
 
 from .errors import DataError
 from .models import (ModelSpec, NormalNormalModel, PortfolioProblem,
-                     RandomSource, UtilitySpec, summary_mean)
+                     RandomSource, summary_mean)
 from .special import normal_quantile
 
 NORMAL_NORMAL = "normal-normal"

@@ -28,7 +28,7 @@ from .analytic import (cara_normal_eu, conjugate_posterior, kelly_weight,
 from .engine import (OptimizationResult, QuantileNet, build_training_table,
                      expected_utility, optimize_decision, posterior_sample,
                      train_posterior_net, train_utility_net)
-from .errors import DataError, UsageError
+from .errors import DataError, QuantmeuError, UsageError
 from .models import RandomSource, summary_mean
 from .net import TrainConfig, save_net
 from .special import normal_cdf
@@ -109,12 +109,17 @@ class ExperimentConfig:
         self.doc, self.simulate, self.optimize, self.eu = doc, sim, opt, eu
 
     def build(self, builder):
-        """`builder(doc)`; a key the document lacks is reported as a `UsageError`."""
+        """`builder(doc)`; a key the document lacks or a value the builder
+        cannot convert is reported as a `UsageError`."""
         try:
             return builder(self.doc)
         except KeyError as exc:
             raise UsageError(f"the {self.experiment} config lacks key "
                              f"{exc.args[0]!r}") from None
+        except QuantmeuError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"bad {self.experiment} config value: {exc}") from None
 
     def eu_rng(self) -> Optional[RandomSource]:
         """The tau stream of the random EU scheme; None for the grid."""
@@ -236,8 +241,8 @@ def run_normal_normal(outdir, overrides: Optional[dict] = None,
     os.makedirs(outdir, exist_ok=True)
     report = ReproReport(experiment=cfg.experiment)
 
-    model = presets.build_normal_normal(cfg.doc)
-    y_obs = presets.generate_observed_data(cfg.doc)
+    model = cfg.build(presets.build_normal_normal)
+    y_obs = cfg.build(presets.generate_observed_data)
     post = conjugate_posterior(model, y_obs)
     w = wang_params(model, y_obs)
     alpha = math.sqrt(model.prior_variance)
@@ -339,8 +344,8 @@ def run_portfolio(outdir, overrides: Optional[dict] = None,
     os.makedirs(outdir, exist_ok=True)
     report = ReproReport(experiment=cfg.experiment)
 
-    problem = presets.build_portfolio(cfg.doc)
-    grid = presets.decision_grid(cfg.doc)
+    problem = cfg.build(presets.build_portfolio)
+    grid = cfg.build(presets.decision_grid)
     kelly = kelly_weight(problem)
     analytic_curve = cara_normal_eu(grid, problem)
 

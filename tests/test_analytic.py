@@ -6,24 +6,19 @@ closed form.
 """
 
 import math
-import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from quantmeu import (DistributionView, NormalNormalModel, PortfolioProblem,
-                      WangDistortion, cara_normal_eu, conjugate_posterior,
-                      constant_view, distorted_expectation,
-                      expectation_via_survival, exponential_view,
-                      kelly_weight, lognormal_view, lorenz_point,
-                      normal_view, posterior_quantile_via_distortion,
-                      prior_to_posterior_survival_check,
-                      silver_normalization, uniform_view, wang_g,
-                      wang_g_inverse, wang_params, yaari_g)
-from quantmeu.analytic import NormalPosterior
-from quantmeu.errors import (DataError, DomainError, NumericError,
-                             ShapeError)
+from quantmeu import (NormalNormalModel, PortfolioProblem, WangDistortion,
+                      cara_normal_eu, conjugate_posterior,
+                      distorted_expectation, expectation_via_survival,
+                      exponential_view, kelly_weight, lognormal_view,
+                      normal_view, prior_to_posterior_survival_check,
+                      silver_normalization, uniform_view, yaari_g)
+from quantmeu.analytic import NormalPosterior, wang_g, wang_params
+from quantmeu.errors import DataError, DomainError, ShapeError
 
 mp.mp.dps = 40
 
@@ -92,8 +87,6 @@ def test_wang_monotone_and_invertible():
     p = np.linspace(0.001, 0.999, 500)
     vals = w(p)
     assert np.all(np.diff(vals) > 0)
-    back = wang_g_inverse(vals, w)
-    np.testing.assert_allclose(back, p, rtol=1e-10, atol=1e-12)
 
 
 def test_wang_identity_parameters():
@@ -107,8 +100,6 @@ def test_wang_open_unit_checked():
     with pytest.raises(DomainError):
         wang_g(0.0, w)
     with pytest.raises(DomainError):
-        wang_g_inverse(1.0, w)
-    with pytest.raises(DomainError):
         WangDistortion(0.0, 0.0)
 
 
@@ -117,16 +108,6 @@ def test_prior_to_posterior_survival_identity():
     y = np.linspace(-2, 6, 10)
     grid = np.linspace(-10, 10, 101)
     assert prior_to_posterior_survival_check(grid, model, y) < 1e-12
-
-
-def test_distortion_route_quantile_matches_conjugate():
-    model = NormalNormalModel(1.0, 9.0, 16.0, n=8)
-    y = np.array([0.5, 2.0, -1.0, 3.0, 1.5, 0.0, 2.5, 1.0])
-    post = conjugate_posterior(model, y)
-    u = np.array([0.01, 0.2, 0.5, 0.8, 0.99])
-    via = posterior_quantile_via_distortion(u, model, y)
-    direct = post.quantile(u)
-    np.testing.assert_allclose(via, direct, rtol=1e-9, atol=1e-9)
 
 
 def test_wang_params_formulas():
@@ -154,13 +135,6 @@ def test_view_roundtrips(view, median):
         assert view.cdf(view.quantile(u)) == pytest.approx(u, rel=1e-10)
     x = view.quantile(0.3)
     assert view.survival(x) == pytest.approx(1 - view.cdf(x), rel=1e-12)
-
-
-def test_constant_view():
-    v = constant_view(4.0)
-    assert v.quantile(0.2) == 4.0
-    assert v.cdf(3.9) == 0.0
-    assert v.cdf(4.0) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -207,34 +181,6 @@ def test_wang_distorted_lognormal_closed_form():
 def test_distorted_expectation_endpoint_guard():
     with pytest.raises(DataError):
         distorted_expectation(exponential_view(1.0), lambda p: 0.5 * np.ones_like(np.asarray(p, dtype=float)))
-
-
-def test_lorenz_points_closed_forms():
-    # exp(1): L(u) = u + (1-u) log(1-u); unif(0,1): L(u) = u^2. The
-    # midpoint normalizer misses ~1e-4 of relative mass in the log tail.
-    for u in (0.3, 0.7):
-        got = lorenz_point(exponential_view(1.0), u)
-        want = u + (1 - u) * math.log(1 - u)
-        assert got == pytest.approx(want, abs=1e-4)
-        got = lorenz_point(uniform_view(0.0, 1.0), u)
-        assert got == pytest.approx(u * u, abs=1e-9)
-    assert lorenz_point(exponential_view(1.0), 0.0) == 0.0
-    assert lorenz_point(exponential_view(1.0), 1.0) == pytest.approx(1.0)
-
-
-def test_lorenz_point_domain():
-    with pytest.raises(DomainError):
-        lorenz_point(exponential_view(1.0), 1.5)
-
-
-def test_lorenz_point_flags_nonintegrable_mean():
-    # Pareto(alpha=1): quantile 1/(1-s); the mean diverges and a single
-    # tail term dominates the normalizer
-    pareto = DistributionView(cdf=lambda x: 1 - 1 / np.maximum(x, 1.0),
-                              quantile=lambda s: 1 / (1 - np.asarray(s)),
-                              support=(1.0, math.inf))
-    with pytest.raises(NumericError):
-        lorenz_point(pareto, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -342,18 +288,12 @@ def test_cara_normal_eu_concave_on_grid():
 
 def test_kelly_weight_interior():
     w = kelly_weight(PortfolioProblem())
-    assert float(w) == pytest.approx(0.4, rel=1e-12)
-    assert not w.clamped
+    assert w == pytest.approx(0.4, rel=1e-12)
 
 
 def test_kelly_weight_clamps():
-    low = kelly_weight(PortfolioProblem(return_mean=0.01))
-    assert float(low) == 0.0
-    assert low.clamped
-    assert low.raw < 0
-    high = kelly_weight(PortfolioProblem(return_mean=0.5))
-    assert float(high) == 1.0
-    assert high.clamped
+    assert kelly_weight(PortfolioProblem(return_mean=0.01)) == 0.0
+    assert kelly_weight(PortfolioProblem(return_mean=0.5)) == 1.0
 
 
 def test_kelly_is_cara_argmax():

@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from quantmeu import DenseNet, TrainingTable, load_net, save_net
+from quantmeu import DenseNet
+from quantmeu.net import load_net, save_net
+from quantmeu.tables import TrainingTable
 from quantmeu.cli import main
 
 
@@ -124,6 +126,14 @@ def test_config_not_json(tmp_path, portfolio_table):
 def test_config_missing_file(portfolio_table, tmp_path):
     assert main(["train", "--table", str(portfolio_table / "table.csv"),
                  "--config", str(tmp_path / "absent.json")]) == 2
+
+
+def test_model_domain_error_keeps_exit_2(tmp_path):
+    # a value the builder converts but the model itself rejects
+    cfg = tmp_path / "negative_sd.json"
+    cfg.write_text(json.dumps({"model": {"return_sd": -1.0}}))
+    assert main(["repro", "portfolio", "--structural", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +286,22 @@ def test_bad_seed_rejected(tmp_path):
     ["eu", "--net", "{net}", "--decision", "nan"],
     ["eu", "--net", "{net}", "--decision", "inf"],
     ["optimize", "--net", "{net}", "--config", {"train": {"beta1": 0.8}}],
+    ["simulate", "--preset", "portfolio", "--config", {"model": {"risk_free": None}},
+     "--n", "10"],
+    ["simulate", "--preset", "portfolio", "--config", {"model": {"risk_free": "x"}},
+     "--n", "10"],
+    ["simulate", "--preset", "normal-normal", "--config", {"model": {"n": "x"}},
+     "--n", "10"],
+    ["repro", "normal-normal", "--structural", "--config", {"model": {"n": "x"}}],
+    ["repro", "portfolio", "--structural", "--config",
+     {"model": {"weight_domain": None}}],
 ], ids=["simulate-grid0", "repro-grid1", "optimize-grid1", "eu-m1",
         "repro-seed-1", "repro-n0", "repro-train-key", "optimize-eu-m1",
         "optimize-eu-scheme", "simulate-model-key", "simulate-section-n",
         "simulate-section", "eu-decision-nan", "eu-decision-inf",
-        "optimize-train-beta1"])
+        "optimize-train-beta1", "simulate-model-null", "simulate-model-str",
+        "simulate-model-n-str", "repro-structural-n-str",
+        "repro-structural-domain-null"])
 def test_too_small_grid_or_m_is_usage_error(tmp_path, capsys, argv):
     net_path = tmp_path / "net.json"
     save_net(DenseNet.initialized((2, 8, 1), seed=0), net_path)

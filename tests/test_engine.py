@@ -11,14 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantmeu import (DenseNet, ModelSpec, NormalNormalModel,
-                      PortfolioProblem, QuantileNet, RandomSource,
-                      TrainConfig, build_training_table, cara_utility,
-                      compose_utility_samples, expected_utility, get_preset,
-                      normal_quantile, optimize_decision, portfolio_wealth,
-                      posterior_sample, summary_mean, train_posterior_net,
-                      train_utility_net)
+                      PortfolioProblem, expected_utility, get_preset,
+                      normal_quantile, optimize_decision, summary_mean)
 from quantmeu import engine
-from quantmeu.engine import _BLOCK_UNIFORMS, OptimizationResult, _midpoint_grid
+from quantmeu.engine import (_BLOCK_UNIFORMS, QuantileNet, _midpoint_grid,
+                             build_training_table, posterior_sample,
+                             train_posterior_net, train_utility_net)
+from quantmeu.models import RandomSource, cara_utility, portfolio_wealth
+from quantmeu.net import TrainConfig
 from quantmeu.presets import (build_normal_normal, build_portfolio,
                               decision_grid, portfolio_model_spec)
 from quantmeu.errors import (DataError, DomainError, NumericError, ShapeError,
@@ -316,7 +316,7 @@ def test_posterior_net_learns_identity(identity_posterior):
     assert qnet.conditioning_dim == 1
     assert hist.best_epoch >= 0
     for s in (-1.5, 0.0, 1.2):
-        draws = posterior_sample(qnet, s, taus=_midpoint_grid(64))
+        draws = qnet.evaluate(s, _midpoint_grid(64))
         assert np.mean(draws) == pytest.approx(s, abs=0.15)
 
 
@@ -327,8 +327,6 @@ def test_posterior_sample_modes(identity_posterior):
     np.testing.assert_array_equal(d1, d2)
     sorted_draws = qnet.quantile_curve(0.5, np.linspace(0.4, 0.6, 9))
     assert np.all(np.diff(sorted_draws) >= 0)
-    with pytest.raises(ValueError):
-        posterior_sample(qnet, 0.5, M=32)
 
 
 def test_posterior_sample_role_check():
@@ -336,17 +334,6 @@ def test_posterior_sample_role_check():
     u = QuantileNet(net, role="utility", conditioning_dim=1)
     with pytest.raises(ValueError):
         posterior_sample(u, 0.5, M=8, rng=RandomSource(0))
-
-
-def test_compose_utility_samples(identity_posterior):
-    qnet, _ = identity_posterior
-    problem = PortfolioProblem()
-    spec = problem.utility_spec()
-    taus = np.linspace(0.2, 0.8, 7)
-    out = compose_utility_samples(qnet, spec, 0.3, 0.5, taus)
-    theta = posterior_sample(qnet, 0.5, taus=taus)
-    expected = [spec.evaluate(0.3, th) for th in theta]
-    np.testing.assert_allclose(out, expected)
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from quantmeu import (LinearSummary, NormalNormalModel, PortfolioProblem,
-                      RandomSource, cara_utility, learn_summary_ols,
-                      portfolio_wealth, simulate_pairs, summary_mean)
-from quantmeu.errors import (DataError, DomainError, NumericError, ShapeError,
-                             SimulationError, SingularDesignError)
+from quantmeu import NormalNormalModel, PortfolioProblem, summary_mean
+from quantmeu.errors import DataError, DomainError, NumericError, SimulationError
+from quantmeu.models import (RandomSource, cara_utility, portfolio_wealth,
+                             simulate_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -56,13 +55,6 @@ def test_normal_moments_and_coupling():
 def test_normal_scalar_mode():
     x = RandomSource(9).normal()
     assert isinstance(x, float)
-
-
-def test_integers_and_permutation():
-    v = RandomSource(4).integers(0, 10, 1000)
-    assert v.min() >= 0 and v.max() <= 9
-    p = RandomSource(4).permutation(50)
-    assert sorted(p.tolist()) == list(range(50))
 
 
 # ---------------------------------------------------------------------------
@@ -112,30 +104,6 @@ def test_summary_mean():
                                   [3.0, 1.0])
     with pytest.raises(DataError):
         summary_mean([])
-
-
-def test_learn_summary_ols_recovers_plain_mean():
-    # when theta is the exact mean of y, OLS must recover weights 1/n
-    rng = np.random.default_rng(0)
-    Y = rng.normal(size=(200, 4))
-    s = learn_summary_ols(Y.mean(axis=1), Y)
-    assert s.intercept == pytest.approx(0.0, abs=1e-10)
-    np.testing.assert_allclose(s.coefficients, 0.25, atol=1e-10)
-    assert s(Y[0]) == pytest.approx(np.mean(Y[0]))
-    np.testing.assert_allclose(s(Y), Y.mean(axis=1), atol=1e-10)
-
-
-def test_learn_summary_ols_singular_design():
-    with pytest.raises(SingularDesignError):
-        learn_summary_ols(np.ones(10), np.full((10, 2), 2.0))
-    with pytest.raises(SingularDesignError):
-        learn_summary_ols(np.ones(3), np.tile(np.arange(5.0), (3, 1)))
-
-
-def test_linear_summary_length_check():
-    s = LinearSummary(0.0, np.array([1.0, 2.0]))
-    with pytest.raises(ShapeError):
-        s([1.0, 2.0, 3.0])
 
 
 # ---------------------------------------------------------------------------

@@ -6,15 +6,26 @@ import math
 import numpy as np
 import pytest
 
-from quantmeu import (DenseNet, TrainConfig, backward, forward, grad_check,
-                      load_net, net_from_document, net_to_document,
-                      pinball_loss, save_net, train)
+from quantmeu import DenseNet, grad_check
+from quantmeu import _kernels as K
 from quantmeu.errors import DataError, DomainError, ShapeError
-from quantmeu.net import _adam_update_inplace
+from quantmeu.net import (TrainConfig, _adam_update_inplace, load_net,
+                          net_from_document, net_to_document, save_net, train)
 
 
 def toy_net(sizes=(2, 8, 1), seed=0):
     return DenseNet.initialized(sizes, seed=seed)
+
+
+def _forward(net, x):
+    """The net at one input vector: the scalar reference for the batch kernel."""
+    return float(net.predict(np.asarray(x, dtype=np.float64)[None, :])[0])
+
+
+def _pinball_loss(prediction, target, tau):
+    """Quantile check loss at one point; minimised in expectation at the tau-quantile."""
+    e = target - prediction
+    return tau * e if e >= 0.0 else (tau - 1.0) * e
 
 
 # ---------------------------------------------------------------------------
@@ -65,9 +76,9 @@ def test_train_config_validation():
 
 def test_pinball_loss_values():
     # [TRIVIAL] direct evaluations of e*(tau - 1{e<0})
-    assert pinball_loss(0.0, 2.0, 0.3) == pytest.approx(0.6)
-    assert pinball_loss(2.0, 0.0, 0.3) == pytest.approx(1.4)
-    assert pinball_loss(1.0, 1.0, 0.7) == 0.0
+    assert _pinball_loss(0.0, 2.0, 0.3) == pytest.approx(0.6)
+    assert _pinball_loss(2.0, 0.0, 0.3) == pytest.approx(1.4)
+    assert _pinball_loss(1.0, 1.0, 0.7) == 0.0
 
 
 def test_pinball_loss_minimised_at_quantile():
@@ -77,19 +88,23 @@ def test_pinball_loss_minimised_at_quantile():
     y = rng.normal(size=2001)
     tau = 0.25
     cs = np.linspace(-2, 2, 801)
-    losses = [np.mean([pinball_loss(c, t, tau) for t in y]) for c in cs]
+    losses = [np.mean([_pinball_loss(c, t, tau) for t in y]) for c in cs]
     assert cs[int(np.argmin(losses))] == pytest.approx(
         np.quantile(y, tau), abs=0.02)
 
 
 def test_pinball_loss_rejects_bad_tau():
+    net = toy_net()
+    X, y = np.zeros((1, 2)), np.zeros(1)
     for tau in (0.0, 1.0, -0.5):
         with pytest.raises(DomainError):
-            pinball_loss(0.0, 1.0, tau)
+            grad_check(net, X, y, [tau])
+        with pytest.raises(DomainError):
+            train(net, X, y, [tau])
 
 
 # ---------------------------------------------------------------------------
-# forward / backward
+# one row against the batch
 # ---------------------------------------------------------------------------
 
 def test_forward_matches_predict():
@@ -99,12 +114,12 @@ def test_forward_matches_predict():
     preds = net.predict(X)
     for i in range(6):
         # single-row and batched BLAS calls may round differently
-        assert forward(net, X[i]) == pytest.approx(preds[i], rel=1e-12)
+        assert _forward(net, X[i]) == pytest.approx(preds[i], rel=1e-12)
 
 
 def test_forward_rejects_wrong_dim():
     with pytest.raises(ShapeError):
-        forward(toy_net(), [1.0, 2.0, 3.0])
+        toy_net().predict([[1.0, 2.0, 3.0]])
 
 
 def test_backward_loss_matches_pointwise():
@@ -113,8 +128,9 @@ def test_backward_loss_matches_pointwise():
     X = rng.normal(size=(15, 2))
     y = rng.normal(size=15)
     tau = rng.uniform(0.1, 0.9, size=15)
-    loss, grads = backward(net, X, y, tau)
-    manual = np.mean([pinball_loss(forward(net, X[i]), y[i], tau[i])
+    loss, grads = K.loss_grad_batch(net.params, net._sizes, net._w_offs,
+                                    net._b_offs, X, y, tau)
+    manual = np.mean([_pinball_loss(_forward(net, X[i]), y[i], tau[i])
                       for i in range(15)])
     assert loss == pytest.approx(manual, rel=1e-12)
     assert grads.shape == net.params.shape

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from quantmeu import get_preset, preset_names
+from quantmeu import get_preset
 from quantmeu.errors import DataError
 from quantmeu.presets import (NORMAL_NORMAL, PORTFOLIO, build_normal_normal,
                               build_portfolio, decision_grid,
-                              generate_observed_data, portfolio_model_spec)
+                              generate_observed_data, portfolio_model_spec,
+                              preset_names)
 
 
 def test_preset_names():
@@ -53,7 +54,7 @@ def test_build_portfolio():
 
 
 def test_portfolio_model_spec_identity_summary():
-    from quantmeu import RandomSource, simulate_pairs
+    from quantmeu.models import RandomSource, simulate_pairs
     spec = portfolio_model_spec(build_portfolio(get_preset(PORTFOLIO)))
     assert spec.n_obs == 1
     theta, Y = simulate_pairs(spec, 5, RandomSource(0))

@@ -6,9 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from quantmeu import ks_distance
 from quantmeu.errors import DataError
-from quantmeu.repro import ReproReport
+from quantmeu.repro import ReproReport, ks_distance
 from quantmeu.special import normal_cdf
 
 

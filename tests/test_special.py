@@ -12,7 +12,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from quantmeu import normal_cdf, normal_quantile
+from quantmeu import normal_quantile
+from quantmeu.special import normal_cdf
 from quantmeu.errors import DomainError
 
 mp.mp.dps = 50

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from quantmeu import TrainingTable
+from quantmeu.tables import TrainingTable
 from quantmeu.errors import DataError, DomainError, ShapeError
 
 
