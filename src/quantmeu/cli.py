@@ -21,10 +21,10 @@ from . import presets, repro
 from .analytic import kelly_weight
 from .engine import (QuantileNet, expected_utility, train_posterior_net,
                      train_utility_net)
-from .errors import DataError, QuantmeuError, UsageError
+from .errors import QuantmeuError, UsageError
 from .net import load_net, save_net
 from .svgplot import Series, VLine, line_plot
-from .tables import TrainingTable
+from .tables import TrainingTable, read_json, write_csv, write_json
 
 
 class _Parser(argparse.ArgumentParser):
@@ -34,15 +34,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _overrides(args) -> dict:
     """The --config document with the value flags set on top of it."""
-    doc: dict = {}
-    if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"config file is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise DataError("config file must hold a JSON object")
+    doc = read_json(args.config, "config file") if args.config else {}
     for section, key, value in (("simulate", "seed", args.seed),
                                 ("simulate", "N", args.n),
                                 ("simulate", "grid_size", args.grid),
@@ -71,8 +63,7 @@ def cmd_simulate(args) -> int:
     table_path = os.path.join(outdir, "table.csv")
     table.to_csv(table_path)
     prov_path = os.path.join(outdir, "table_provenance.json")
-    with open(prov_path, "w", encoding="utf-8") as fh:
-        json.dump(table.provenance, fh, indent=1)
+    write_json(prov_path, table.provenance)
     print(f"wrote {table_path} ({table.n_rows} rows)")
     print(f"wrote {prov_path}")
     return 0
@@ -91,10 +82,8 @@ def cmd_train(args) -> int:
     net_path = os.path.join(outdir, "net.json")
     save_net(qnet.net, net_path)
     hist_path = os.path.join(outdir, "history.csv")
-    with open(hist_path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("epoch,train_loss,val_loss\n")
-        for i, (tr, vl) in enumerate(zip(history.train_loss, history.val_loss)):
-            fh.write(f"{i},{tr:.17g},{vl:.17g}\n")
+    write_csv(hist_path, ["epoch", "train_loss", "val_loss"],
+              [range(len(history.train_loss)), history.train_loss, history.val_loss])
     print(f"trained {target} net on {table.n_rows} rows; "
           f"best epoch {history.best_epoch}, "
           f"val loss {history.val_loss[history.best_epoch]:.6f}")
@@ -151,9 +140,7 @@ def cmd_eu(args) -> int:
     print(json.dumps(doc))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "eu.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1)
+        write_json(os.path.join(args.out, "eu.json"), doc)
     return 0
 
 
@@ -240,10 +227,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
         return 2
-    except (DataError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except QuantmeuError as exc:
+    except (QuantmeuError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,8 +8,6 @@ a one-dimensional decision interval.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -20,7 +18,7 @@ from . import net as netmod
 from .errors import DataError, DomainError, NumericError, ShapeError, SimulationError
 from .models import ModelSpec, RandomSource, UtilitySpec, simulate_pairs
 from .net import DenseNet, TrainConfig
-from .tables import TrainingTable
+from .tables import TrainingTable, write_csv, write_json
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _BLOCK_UNIFORMS = 2 ** 16   # bounds the memory of one block's forward draws
@@ -246,16 +244,10 @@ class OptimizationResult:
         }
 
     def save_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_document(), fh, indent=1)
+        write_json(path, self.to_document())
 
     def curve_to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["d", "eu", "se"])
-            for d, eu, se in self.curve:
-                writer.writerow([format(d, ".17g"), format(eu, ".17g"),
-                                 format(se, ".17g")])
+        write_csv(path, ["d", "eu", "se"], list(zip(*self.curve)))
 
 
 def optimize_decision(eu_evaluator: Callable, domain, grid_size: int = 101,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -43,15 +43,13 @@ class RandomSource:
         """Independent stream derived from the same seed."""
         return RandomSource(seed=self.seed, stream=int(index))
 
-    def uniform(self, n: Optional[int] = None):
-        """Open-interval uniforms in (0,1); scalar when n is None."""
-        if n is None:
-            return float(self._gen.random() + _TINY)
+    def uniform(self, n: int) -> np.ndarray:
+        """n open-interval uniforms in (0,1)."""
         if n < 0:
             raise ValueError("n must be nonnegative")
         return self._gen.random(n) + _TINY
 
-    def normal(self, n: Optional[int] = None, mean: float = 0.0, sd: float = 1.0):
+    def normal(self, n: int, mean: float = 0.0, sd: float = 1.0) -> np.ndarray:
         """Gaussian draws via the inverse-CDF transform of open uniforms.
 
         The transform keeps draws a monotone function of the underlying

@@ -9,7 +9,6 @@ net, so `DenseNet.predict` always works in the original data scale).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, asdict
 from typing import Optional
@@ -17,7 +16,8 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .errors import DataError, DomainError, ShapeError
+from .errors import DataError, DomainError, QuantmeuError, ShapeError
+from .tables import read_json, write_json
 
 DEFAULT_HIDDEN = (64, 64, 64)
 
@@ -81,6 +81,8 @@ class DenseNet:
             self.x_scale = np.ones(self.layer_sizes[0])
         self.x_mean = np.asarray(self.x_mean, dtype=np.float64)
         self.x_scale = np.asarray(self.x_scale, dtype=np.float64)
+        if self.x_mean.shape != (self.input_dim,) or self.x_scale.shape != (self.input_dim,):
+            raise ShapeError("x_mean and x_scale need one entry per input")
 
     @classmethod
     def initialized(cls, layer_sizes, seed=0):
@@ -334,32 +336,37 @@ def net_from_document(doc: dict) -> DenseNet:
         raise DataError(f"not a serialized net document: format={doc.get('format')!r}")
     if doc.get("version") != _VERSION:
         raise DataError(f"unsupported net document version {doc.get('version')!r}")
-    sizes = tuple(doc["layer_sizes"])
-    w_offs, b_offs, n_params = _kernels.layer_offsets(sizes)
-    params = np.zeros(n_params)
-    for l in range(len(sizes) - 1):
-        w = np.asarray(doc["weights"][l], dtype=np.float64)
-        b = np.asarray(doc["biases"][l], dtype=np.float64)
-        if w.shape != (sizes[l + 1], sizes[l]) or b.shape != (sizes[l + 1],):
-            raise DataError(f"layer {l} weight/bias shapes do not match layer_sizes")
-        params[w_offs[l]:w_offs[l] + w.size] = w.ravel()
-        params[b_offs[l]:b_offs[l] + b.size] = b
-    std = doc.get("standardization", {})
-    return DenseNet(layer_sizes=sizes, params=params,
-                    x_mean=np.asarray(std.get("x_mean", np.zeros(sizes[0]))),
-                    x_scale=np.asarray(std.get("x_scale", np.ones(sizes[0]))),
-                    y_mean=float(std.get("y_mean", 0.0)),
-                    y_scale=float(std.get("y_scale", 1.0)),
-                    scale_fallback=bool(std.get("fallback", False)),
-                    init_seed=doc.get("seed"),
-                    train_config=doc.get("config"))
+    try:
+        sizes = tuple(doc["layer_sizes"])
+        w_offs, b_offs, n_params = _kernels.layer_offsets(sizes)
+        params = np.zeros(n_params)
+        for l in range(len(sizes) - 1):
+            w = np.asarray(doc["weights"][l], dtype=np.float64)
+            b = np.asarray(doc["biases"][l], dtype=np.float64)
+            if w.shape != (sizes[l + 1], sizes[l]) or b.shape != (sizes[l + 1],):
+                raise DataError(f"layer {l} weight/bias shapes do not match layer_sizes")
+            params[w_offs[l]:w_offs[l] + w.size] = w.ravel()
+            params[b_offs[l]:b_offs[l] + b.size] = b
+        std = doc.get("standardization", {})
+        return DenseNet(layer_sizes=sizes, params=params,
+                        x_mean=np.asarray(std.get("x_mean", np.zeros(sizes[0]))),
+                        x_scale=np.asarray(std.get("x_scale", np.ones(sizes[0]))),
+                        y_mean=float(std.get("y_mean", 0.0)),
+                        y_scale=float(std.get("y_scale", 1.0)),
+                        scale_fallback=bool(std.get("fallback", False)),
+                        init_seed=doc.get("seed"),
+                        train_config=doc.get("config"))
+    except QuantmeuError:
+        raise
+    except KeyError as exc:
+        raise DataError(f"net document lacks key {exc.args[0]!r}") from None
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        raise DataError(f"bad net document value: {exc}") from None
 
 
 def save_net(net: DenseNet, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(net_to_document(net), fh, indent=1)
+    write_json(path, net_to_document(net))
 
 
 def load_net(path) -> DenseNet:
-    with open(path, "r", encoding="utf-8") as fh:
-        return net_from_document(json.load(fh))
+    return net_from_document(read_json(path, "net file"))

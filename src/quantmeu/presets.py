@@ -121,6 +121,11 @@ def portfolio_model_spec(problem: PortfolioProblem) -> ModelSpec:
                      name="portfolio-return")
 
 
+def decision_domain(config: dict) -> tuple:
+    """The decision interval: the model's weight domain, else (0, 1)."""
+    lo, hi = config["model"].get("weight_domain", (0.0, 1.0))
+    return float(lo), float(hi)
+
+
 def decision_grid(config: dict) -> np.ndarray:
-    lo, hi = config["model"]["weight_domain"]
-    return np.linspace(float(lo), float(hi), int(config["simulate"]["grid_size"]))
+    return np.linspace(*decision_domain(config), int(config["simulate"]["grid_size"]))

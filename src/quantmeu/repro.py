@@ -12,8 +12,6 @@ format/shape verification.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import os
 import time
@@ -33,7 +31,7 @@ from .models import RandomSource, summary_mean
 from .net import TrainConfig, save_net
 from .special import normal_cdf
 from .svgplot import Series, VLine, line_plot
-from .tables import TrainingTable
+from .tables import TrainingTable, write_csv, write_json
 
 _EU_SCHEMES = ("uniform_grid", "random")
 
@@ -71,8 +69,8 @@ class ExperimentConfig:
 
     The preset, when given, names the experiment; otherwise the merged
     document's `experiment` (or `name`) does. `doc` is the merged document
-    with the checked `simulate`, `eu` and `optimize` sections in place, as
-    the presets' builders read it. Bad values raise `UsageError`.
+    with the checked `simulate`, `eu`, `optimize` and `posterior` sections
+    in place, as the presets' builders read it. Bad values raise `UsageError`.
     """
 
     def __init__(self, preset: Optional[str] = None, overrides: Optional[dict] = None):
@@ -105,8 +103,15 @@ class ExperimentConfig:
             self.train = TrainConfig(**_section(doc, "train"))
         except (TypeError, ValueError) as exc:
             raise UsageError(f"bad train configuration: {exc}") from exc
-        doc.update(simulate=sim, optimize=opt, eu=eu)
+        post = _section(doc, "posterior")
+        if "M" in post:  # the sd check needs two draws
+            post["M"] = _checked_int(post["M"], "posterior.M", 2)
+        if "sample_seed" in post:
+            post["sample_seed"] = _checked_int(post["sample_seed"], "posterior.sample_seed",
+                                               0, 2 ** 64 - 1)
+        doc.update(model=self.model, simulate=sim, optimize=opt, eu=eu, posterior=post)
         self.doc, self.simulate, self.optimize, self.eu = doc, sim, opt, eu
+        self.posterior = post
 
     def build(self, builder):
         """`builder(doc)`; a key the document lacks or a value the builder
@@ -155,8 +160,7 @@ def optimize_net(qnet: QuantileNet, cfg: ExperimentConfig) -> OptimizationResult
     def evaluator(d):
         return expected_utility(qnet, d=d, M=M, scheme=scheme, rng=rng)
 
-    domain = cfg.model.get("weight_domain", cfg.optimize.get("domain", (0.0, 1.0)))
-    return optimize_decision(evaluator, domain,
+    return optimize_decision(evaluator, cfg.build(presets.decision_domain),
                              grid_size=cfg.optimize["grid_size"],
                              refine=cfg.optimize["refine"],
                              config={"experiment": cfg.experiment, "M": M,
@@ -193,18 +197,14 @@ class ReproReport:
                                  threshold=float(threshold),
                                  comparison=comparison, detail=detail))
 
-    def to_document(self) -> dict:
-        return {
+    def save(self, path) -> None:
+        write_json(path, {
             "experiment": self.experiment,
             "passed": self.passed,
             "elapsed_seconds": self.elapsed_seconds,
             "checks": [asdict(c) for c in self.checks],
             "artifacts": self.artifacts,
-        }
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_document(), fh, indent=1)
+        })
 
 
 def ks_distance(samples, cdf) -> float:
@@ -222,14 +222,6 @@ def ks_distance(samples, cdf) -> float:
 def _normal_pdf(x, mean, sd):
     z = (np.asarray(x, dtype=np.float64) - mean) / sd
     return np.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))
-
-
-def _write_csv(path, header, columns):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in zip(*columns):
-            writer.writerow([format(v, ".17g") for v in row])
 
 
 def run_normal_normal(outdir, overrides: Optional[dict] = None,
@@ -254,8 +246,8 @@ def run_normal_normal(outdir, overrides: Optional[dict] = None,
     lik_pdf = _normal_pdf(theta, true_theta, sigma)
     post_pdf = _normal_pdf(theta, post.mu_star, post.sigma_star)
     p_model = os.path.join(outdir, "panel_model.csv")
-    _write_csv(p_model, ["theta", "prior", "likelihood", "posterior"],
-               [theta, prior_pdf, lik_pdf, post_pdf])
+    write_csv(p_model, ["theta", "prior", "likelihood", "posterior"],
+              [theta, prior_pdf, lik_pdf, post_pdf])
     s_model = os.path.join(outdir, "panel_model.svg")
     line_plot(s_model,
               [Series(theta, prior_pdf, "prior"),
@@ -266,7 +258,7 @@ def run_normal_normal(outdir, overrides: Optional[dict] = None,
     p = np.linspace(1e-4, 1.0 - 1e-4, 601)
     g_vals = w(p)
     p_dist = os.path.join(outdir, "panel_distortion.csv")
-    _write_csv(p_dist, ["p", "g"], [p, g_vals])
+    write_csv(p_dist, ["p", "g"], [p, g_vals])
     s_dist = os.path.join(outdir, "panel_distortion.svg")
     line_plot(s_dist,
               [Series(p, g_vals, "g(p)"), Series(p, p, "identity", dashed=True)],
@@ -275,9 +267,9 @@ def run_normal_normal(outdir, overrides: Optional[dict] = None,
     prior_surv = normal_cdf(-(theta - model.prior_mean) / alpha)
     post_surv = normal_cdf(-(theta - post.mu_star) / post.sigma_star)
     p_surv = os.path.join(outdir, "panel_survival.csv")
-    _write_csv(p_surv, ["theta", "prior_survival", "posterior_survival",
-                        "distorted_prior_survival"],
-               [theta, prior_surv, post_surv, w(prior_surv)])
+    write_csv(p_surv, ["theta", "prior_survival", "posterior_survival",
+                       "distorted_prior_survival"],
+              [theta, prior_surv, post_surv, w(prior_surv)])
     s_surv = os.path.join(outdir, "panel_survival.svg")
     line_plot(s_surv,
               [Series(theta, prior_surv, "prior survival"),
@@ -310,13 +302,12 @@ def run_normal_normal(outdir, overrides: Optional[dict] = None,
         save_net(H.net, net_path)
         report.artifacts.append(net_path)
 
-        M = int(cfg.doc["posterior"]["M"])
-        draw_rng = RandomSource(seed=int(cfg.doc["posterior"]["sample_seed"]),
-                                stream=1)
+        M = cfg.posterior["M"]
+        draw_rng = RandomSource(seed=cfg.posterior["sample_seed"], stream=1)
         s_obs = summary_mean(y_obs)
         draws = posterior_sample(H, [s_obs], M=M, rng=draw_rng)
         d_path = os.path.join(outdir, "posterior_draws.csv")
-        _write_csv(d_path, ["theta"], [draws])
+        write_csv(d_path, ["theta"], [draws])
         report.artifacts.append(d_path)
 
         report.add("posterior_ks_distance", ks_distance(draws, post.cdf), 0.05,
@@ -350,8 +341,8 @@ def run_portfolio(outdir, overrides: Optional[dict] = None,
     analytic_curve = cara_normal_eu(grid, problem)
 
     a_csv = os.path.join(outdir, "eu_curve_analytic.csv")
-    _write_csv(a_csv, ["d", "eu", "se"],
-               [grid, analytic_curve, np.zeros_like(grid)])
+    write_csv(a_csv, ["d", "eu", "se"],
+              [grid, analytic_curve, np.zeros_like(grid)])
     report.artifacts.append(a_csv)
 
     report.add("analytic_curve_strictly_concave",

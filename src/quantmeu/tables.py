@@ -1,15 +1,17 @@
-"""Training table container and its CSV serialization.
+"""Training table container and the package's artifact file format.
 
 One row per simulated draw: parameter, summary statistic, optional
 decision and utility, and the quantile level tau attached to the row.
 CSV files carry the fixed header ``theta,summary,decision,utility,tau``
 with blanks for absent columns and 17 significant digits per float so
-values round-trip bit for bit.
+values round-trip bit for bit. Every CSV and JSON artifact the package
+writes or reads goes through `write_csv`, `write_json` and `read_json`.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -20,8 +22,33 @@ from .errors import DataError, DomainError, ShapeError
 CSV_HEADER = ("theta", "summary", "decision", "utility", "tau")
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def write_csv(path, header, columns) -> None:
+    """Rows across `columns`, floats at 17 significant digits, a None column blank."""
+    n = len(next(col for col in columns if col is not None))
+    cells = [[""] * n if col is None
+             else [format(v, ".17g") for v in np.asarray(col, dtype=np.float64).tolist()]
+             for col in columns]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*cells))
+
+
+def write_json(path, doc) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+
+
+def read_json(path, what: str) -> dict:
+    """The JSON object in `path`; `what` names the file in the error."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise DataError(f"{what} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise DataError(f"{what} must hold a JSON object")
+    return doc
 
 
 @dataclass
@@ -91,33 +118,25 @@ class TrainingTable:
     def to_csv(self, path) -> None:
         if self.summary_dim != 1:
             raise DataError("CSV serialization supports scalar summaries only")
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_HEADER)
-            dec = self.decision
-            uti = self.utility
-            for i in range(self.n_rows):
-                writer.writerow([
-                    _fmt(self.theta[i]),
-                    _fmt(self.summary[i, 0]),
-                    _fmt(dec[i]) if dec is not None else "",
-                    _fmt(uti[i]) if uti is not None else "",
-                    _fmt(self.tau[i]),
-                ])
+        write_csv(path, CSV_HEADER, [self.theta, self.summary[:, 0], self.decision,
+                                     self.utility, self.tau])
 
     @classmethod
     def from_csv(cls, path) -> "TrainingTable":
-        with open(path, "r", newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = tuple(next(reader, ()))
-            if header != CSV_HEADER:
-                raise DataError(f"unexpected CSV header {header!r}")
-            cols = {name: [] for name in CSV_HEADER}
-            for line_no, row in enumerate(reader, start=2):
-                if len(row) != len(CSV_HEADER):
-                    raise DataError(f"line {line_no}: expected {len(CSV_HEADER)} fields")
-                for name, cell in zip(CSV_HEADER, row):
-                    cols[name].append(cell)
+        try:
+            with open(path, "r", newline="", encoding="utf-8") as fh:
+                reader = csv.reader(fh)
+                header = tuple(next(reader, ()))
+                if header != CSV_HEADER:
+                    raise DataError(f"unexpected CSV header {header!r}")
+                cols = {name: [] for name in CSV_HEADER}
+                for line_no, row in enumerate(reader, start=2):
+                    if len(row) != len(CSV_HEADER):
+                        raise DataError(f"line {line_no}: expected {len(CSV_HEADER)} fields")
+                    for name, cell in zip(CSV_HEADER, row):
+                        cols[name].append(cell)
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise DataError(f"table CSV is unreadable: {exc}") from None
         if not cols["theta"]:
             raise DataError("CSV contains no data rows")
 
@@ -128,7 +147,10 @@ class TrainingTable:
                 return None
             if any(blank):
                 raise DataError(f"column {name} mixes blank and present values")
-            return np.array([float(c) for c in cells])
+            try:
+                return np.array([float(c) for c in cells])
+            except ValueError as exc:
+                raise DataError(f"column {name}: {exc}") from None
 
         return cls(theta=parse("theta"), summary=parse("summary"),
                    tau=parse("tau"), decision=parse("decision", optional=True),

@@ -295,13 +295,24 @@ def test_bad_seed_rejected(tmp_path):
     ["repro", "normal-normal", "--structural", "--config", {"model": {"n": "x"}}],
     ["repro", "portfolio", "--structural", "--config",
      {"model": {"weight_domain": None}}],
+    ["optimize", "--net", "{net}", "--grid", "3", "--config",
+     {"model": {"weight_domain": [0.2, "x"]}}],
+    ["optimize", "--net", "{net}", "--grid", "3", "--config",
+     {"model": {"weight_domain": 5}}],
+    ["repro", "normal-normal", "--n", "200", "--config",
+     {"train": {"max_epochs": 1}, "posterior": {"M": "x"}}],
+    ["repro", "normal-normal", "--n", "200", "--config",
+     {"train": {"max_epochs": 1}, "posterior": {"M": 0}}],
+    ["repro", "normal-normal", "--n", "200", "--config",
+     {"train": {"max_epochs": 1}, "posterior": {"sample_seed": -1}}],
 ], ids=["simulate-grid0", "repro-grid1", "optimize-grid1", "eu-m1",
         "repro-seed-1", "repro-n0", "repro-train-key", "optimize-eu-m1",
         "optimize-eu-scheme", "simulate-model-key", "simulate-section-n",
         "simulate-section", "eu-decision-nan", "eu-decision-inf",
         "optimize-train-beta1", "simulate-model-null", "simulate-model-str",
         "simulate-model-n-str", "repro-structural-n-str",
-        "repro-structural-domain-null"])
+        "repro-structural-domain-null", "optimize-domain-str", "optimize-domain-int",
+        "repro-posterior-m-str", "repro-posterior-m0", "repro-posterior-seed-1"])
 def test_too_small_grid_or_m_is_usage_error(tmp_path, capsys, argv):
     net_path = tmp_path / "net.json"
     save_net(DenseNet.initialized((2, 8, 1), seed=0), net_path)
@@ -315,5 +326,38 @@ def test_too_small_grid_or_m_is_usage_error(tmp_path, capsys, argv):
 
     argv = [arg(a) for a in argv] + ["--out", str(tmp_path / "out")]
     assert main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+def _edited_net(edit):
+    """Writer of a saved 2-8-1 net whose document `edit` has changed."""
+    def write(path):
+        save_net(DenseNet.initialized((2, 8, 1), seed=0), path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+    return write
+
+
+def _table_with_text_tau(path):
+    path.write_text("theta,summary,decision,utility,tau\n0.1,0.2,,,half\n")
+
+
+@pytest.mark.parametrize("command,flag,write", [
+    ("eu", "--net", lambda path: path.write_text("{not json")),
+    ("eu", "--net", _edited_net(lambda doc: doc.pop("layer_sizes"))),
+    ("eu", "--net", _edited_net(lambda doc: doc["standardization"].update(x_mean=[0, 0, 0]))),
+    ("train", "--table", _table_with_text_tau),
+    ("train", "--table", lambda path: path.write_bytes(b"\xff\xfe\x00bin")),
+], ids=["net-not-json", "net-no-layer-sizes", "net-long-x-mean", "table-text-tau",
+        "table-not-utf8"])
+def test_malformed_file_is_data_error(tmp_path, capsys, command, flag, write):
+    path = tmp_path / "input"
+    write(path)
+    argv = [command, flag, str(path), "--out", str(tmp_path / "out")]
+    if command == "eu":
+        argv += ["--decision", "0.4"]
+    assert main(argv) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:")

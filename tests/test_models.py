@@ -52,11 +52,6 @@ def test_normal_moments_and_coupling():
     np.testing.assert_allclose(a, 3.0 + 2.0 * b, rtol=1e-12)
 
 
-def test_normal_scalar_mode():
-    x = RandomSource(9).normal()
-    assert isinstance(x, float)
-
-
 # ---------------------------------------------------------------------------
 # model specs and simulation
 # ---------------------------------------------------------------------------
