@@ -47,14 +47,21 @@ def _merge(base: dict, override: Optional[dict]) -> dict:
 
 
 def _checked_int(value, name: str, low: int, high: Optional[int] = None) -> int:
-    try:
-        number = int(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"{name} must be an integer, got {value!r}") from None
-    if number < low or (high is not None and number > high):
+    """An int or an integral float such as 1e5; bools and strings are refused."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise UsageError(f"{name} must be an integer, got {value!r}")
+    if value < low or (high is not None and value > high):
         bound = f">= {low}" if high is None else f"in [{low}, {high}]"
-        raise UsageError(f"{name} must be {bound}, got {number}")
-    return number
+        raise UsageError(f"{name} must be {bound}, got {value}")
+    return value
+
+
+def _checked_bool(value, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise UsageError(f"{name} must be true or false, got {value!r}")
+    return value
 
 
 def _section(doc: dict, name: str) -> dict:
@@ -89,10 +96,11 @@ class ExperimentConfig:
         if "N" in sim:
             sim["N"] = _checked_int(sim["N"], "simulate.N", 1)
         sim["grid_size"] = _checked_int(sim.get("grid_size", 101), "simulate.grid_size", 2)
-        sim["sorted_pairing"] = bool(sim.get("sorted_pairing", False))
+        sim["sorted_pairing"] = _checked_bool(sim.get("sorted_pairing", False),
+                                             "simulate.sorted_pairing")
         opt = _section(doc, "optimize")
         opt["grid_size"] = _checked_int(opt.get("grid_size", 101), "optimize.grid_size", 2)
-        opt["refine"] = bool(opt.get("refine", True))
+        opt["refine"] = _checked_bool(opt.get("refine", True), "optimize.refine")
         eu = _section(doc, "eu")
         eu["M"] = _checked_int(eu.get("M", 1024), "eu.M", 2)
         eu["scheme"] = eu.get("scheme", "uniform_grid")

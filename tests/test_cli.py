@@ -330,6 +330,38 @@ def test_too_small_grid_or_m_is_usage_error(tmp_path, capsys, argv):
     assert len(err) == 1 and err[0].startswith("error:")
 
 
+@pytest.mark.parametrize("section,key,value,wanted", [
+    ("simulate", "sorted_pairing", "false", "true or false"),
+    ("optimize", "refine", "false", "true or false"),
+    ("simulate", "N", 10.7, "an integer"),
+    ("eu", "M", True, "an integer"),
+    ("simulate", "seed", "3", "an integer"),
+], ids=["sorted-pairing-str", "refine-str", "n-fraction", "eu-m-bool", "seed-str"])
+def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, section, key, value,
+                                                    wanted):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({section: {key: value}}))
+    argv = ["simulate", "--preset", "normal-normal", "--config", str(config_path),
+            "--out", str(tmp_path / "out")]
+    if key != "N":
+        argv += ["--n", "5"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert f"{section}.{key} must be {wanted}" in err[0]
+    assert not (tmp_path / "out" / "table.csv").exists()
+
+
+def test_config_integral_float_and_json_bool_accepted(tmp_path):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"simulate": {"N": 1e1, "sorted_pairing": False}}))
+    outdir = tmp_path / "out"
+    assert main(["simulate", "--preset", "portfolio", "--config", str(config_path),
+                 "--grid", "5", "--out", str(outdir)]) == 0
+    prov = json.loads((outdir / "table_provenance.json").read_text())
+    assert prov["N"] == 10 and prov["sorted_pairing"] is False
+
+
 def _edited_net(edit):
     """Writer of a saved 2-8-1 net whose document `edit` has changed."""
     def write(path):

@@ -4,6 +4,8 @@ Oracle: a pure-Python per-unit forward pass and the pinball-loss formula
 written out directly, so neither depends on the vectorised kernels.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -74,10 +76,12 @@ def test_loss_numpy_matches_manual():
 
 
 def test_grad_numpy_matches_finite_differences():
-    sz, w_offs, b_offs, params, X, y, tau = make_case(13, (2, 8, 1), 17)
+    # every entry of a three-hidden-layer net: the gradient is filled through
+    # per-layer views, so an entry left unwritten would hold garbage
+    sz, w_offs, b_offs, params, X, y, tau = make_case(13, (2, 8, 8, 8, 1), 17)
     _, grad = K.loss_grad_batch(params, sz, w_offs, b_offs, X, y, tau)
     eps = 1e-6
-    for i in range(0, len(params), 5):
+    for i in range(len(params)):
         p = params.copy()
         p[i] += eps
         lp, _ = K.loss_grad_batch(p, sz, w_offs, b_offs, X, y, tau)
@@ -85,6 +89,43 @@ def test_grad_numpy_matches_finite_differences():
         lm, _ = K.loss_grad_batch(p, sz, w_offs, b_offs, X, y, tau)
         fd = (lp - lm) / (2 * eps)
         assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+
+
+def test_grad_not_aliased_across_calls():
+    sz, w_offs, b_offs, params, X, y, tau = make_case(17, (2, 8, 8, 8, 1), 29)
+    kept = params.copy()
+    _, grad = K.loss_grad_batch(params, sz, w_offs, b_offs, X, y, tau)
+    first = grad.copy()
+    _, grad2 = K.loss_grad_batch(params, sz, w_offs, b_offs, X[::-1].copy(), y, tau)
+    assert not np.array_equal(grad2, first)
+    assert not np.shares_memory(grad, grad2)
+    np.testing.assert_array_equal(grad, first)
+    np.testing.assert_array_equal(params, kept)
+
+
+def _peak_arrays(fn, n):
+    """Peak traced bytes of one call, in units of one (n, 64) float64 array."""
+    fn()  # first-call allocations are not the kernel's
+    tracemalloc.start()
+    try:
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (n * 64 * 8)
+
+
+def test_kernels_allocate_one_array_per_layer():
+    # 2-64-64-64-1 at 4096 rows: the forward pass holds two layers' outputs
+    # at a time (2.03); the backward pass keeps the three hidden activations
+    # and adds two deltas (5.08). Three temporaries per layer and a kept
+    # pre-activation list, as the kernels once had, measured 4.03 and 8.26.
+    n = 4096
+    sz, w_offs, b_offs, params, X, y, tau = make_case(19, (2, 64, 64, 64, 1), n)
+    fwd = _peak_arrays(lambda: K.forward_batch(params, sz, w_offs, b_offs, X), n)
+    bwd = _peak_arrays(lambda: K.loss_grad_batch(params, sz, w_offs, b_offs, X, y, tau), n)
+    assert fwd <= 2.5
+    assert bwd <= 6.0
 
 
 def test_backend_reports_active_path():
