@@ -19,8 +19,7 @@ import numpy as np
 
 from . import presets, repro
 from .analytic import kelly_weight
-from .engine import (QuantileNet, expected_utility, train_posterior_net,
-                     train_utility_net)
+from .engine import QuantileNet, train_posterior_net, train_utility_net
 from .errors import QuantmeuError, UsageError
 from .net import load_net, save_net
 from .svgplot import Series, VLine, line_plot
@@ -131,12 +130,10 @@ def cmd_eu(args) -> int:
     cfg = _load_config(args)
     if not math.isfinite(args.decision):
         raise UsageError(f"--decision must be finite, got {args.decision}")
-    qnet = _load_quantile_net(args.net, args.role)
-    M, scheme = cfg.eu["M"], cfg.eu["scheme"]
-    cond = {"d": args.decision} if qnet.role == "utility" else {"y_obs": [args.decision]}
-    est, se = expected_utility(qnet, M=M, scheme=scheme, rng=cfg.eu_rng(), **cond)
-    doc = {"decision": args.decision, "eu": est, "se": se, "M": M,
-           "scheme": scheme}
+    evaluate = repro.eu_evaluator(_load_quantile_net(args.net, args.role), cfg)
+    est, se = evaluate(args.decision)
+    doc = {"decision": args.decision, "eu": est, "se": se, "M": cfg.eu["M"],
+           "scheme": cfg.eu["scheme"]}
     print(json.dumps(doc))
     if args.out:
         os.makedirs(args.out, exist_ok=True)

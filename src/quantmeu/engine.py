@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -181,9 +182,9 @@ def expected_utility(quantile_source, d: Optional[float] = None,
                      rng: Optional[RandomSource] = None):
     """Estimate E(U) as the integral of the quantile function over (0,1).
 
-    `quantile_source` is a utility-role QuantileNet (conditioned on d), a
-    posterior-role QuantileNet (conditioned on y_obs), or any callable
-    mapping a tau array to quantile values. The uniform_grid scheme
+    `quantile_source` is any callable mapping a sorted tau array to
+    quantile values, or a QuantileNet, read as its monotone quantile curve
+    at d (utility role) or at y_obs (posterior role). The uniform_grid scheme
     averages the M midpoints (i-1/2)/M and is deterministic (SE 0); the
     random scheme draws tau i.i.d. and reports the MC standard error.
     """
@@ -199,18 +200,13 @@ def expected_utility(quantile_source, d: Optional[float] = None,
         raise ValueError(f"unknown scheme {scheme!r}")
 
     if isinstance(quantile_source, QuantileNet):
-        if quantile_source.role == "utility":
-            if d is None:
-                raise ValueError("a decision value is required for a utility net")
-            values = quantile_source.quantile_curve([d], taus)
-        else:
-            if y_obs is None:
-                raise ValueError("y_obs is required for a posterior net")
-            values = quantile_source.quantile_curve(y_obs, taus)
-    else:
-        values = np.asarray(quantile_source(np.sort(taus)), dtype=np.float64).reshape(-1)
-        if values.shape[0] != M:
-            raise ShapeError("quantile source returned a wrong-length vector")
+        cond, name = (d, "d") if quantile_source.role == "utility" else (y_obs, "y_obs")
+        if cond is None:
+            raise ValueError(f"{name} is required for a {quantile_source.role} net")
+        quantile_source = partial(quantile_source.quantile_curve, cond)
+    values = np.asarray(quantile_source(np.sort(taus)), dtype=np.float64).reshape(-1)
+    if values.shape[0] != M:
+        raise ShapeError("quantile source returned a wrong-length vector")
     if not np.all(np.isfinite(values)):
         raise NumericError("quantile source produced non-finite values")
 
@@ -257,9 +253,10 @@ def optimize_decision(eu_evaluator: Callable, domain, grid_size: int = 101,
 
     Evaluates a uniform grid, breaks exact ties toward the smallest
     decision, and (optionally) refines with golden-section search inside
-    the best grid cell and its neighbors. The evaluator is responsible
-    for holding its tau scheme fixed across calls so the comparison uses
-    common random numbers.
+    the best grid cell and its neighbors. The evaluator must be pure, the
+    same d always giving the same (estimate, se); a sampled tau scheme
+    therefore scores every d on one tau set (common random numbers). Each
+    point, the refined winner included, is scored once.
     """
     lo, hi = float(domain[0]), float(domain[1])
     if not lo < hi:
@@ -280,19 +277,18 @@ def optimize_decision(eu_evaluator: Callable, domain, grid_size: int = 101,
     grid = np.linspace(lo, hi, grid_size)
     curve = [(float(d),) + call(float(d)) for d in grid]
     eus = np.array([c[1] for c in curve])
-    best_idx = int(np.argmax(eus))
+    best_idx = int(np.argmax(eus))   # the first, so the smallest d, of equal maxima
     ties = bool(np.count_nonzero(eus == eus[best_idx]) > 1)
-    if ties:
-        best_idx = int(np.nonzero(eus == eus[best_idx])[0][0])
-    best_d, best_eu, best_se = curve[best_idx]
+    best_d, best_eu, _ = curve[best_idx]
 
     trace = []
     if refine:
         a = grid[max(best_idx - 1, 0)]
         b = grid[min(best_idx + 1, grid_size - 1)]
+        se_at = {}
 
         def f(d: float) -> float:
-            est, se = call(d)
+            est, se_at[d] = call(d)
             trace.append((float(d), est))
             return est
 
@@ -312,11 +308,9 @@ def optimize_decision(eu_evaluator: Callable, domain, grid_size: int = 101,
                     fe = f(e)
             cand_d, cand_eu = (c, fc) if fc >= fe else (e, fe)
             if cand_eu > best_eu:
-                cand_eu2, cand_se = call(cand_d)
-                if cand_eu2 > best_eu:
-                    curve.append((float(cand_d), cand_eu2, cand_se))
-                    curve.sort(key=lambda row: row[0])
-                    best_d, best_eu = float(cand_d), cand_eu2
+                curve.append((float(cand_d), cand_eu, se_at[cand_d]))
+                curve.sort(key=lambda row: row[0])
+                best_d, best_eu = float(cand_d), cand_eu
 
     cfg = dict(config or {})
     cfg.setdefault("domain", [lo, hi])

@@ -133,11 +133,13 @@ def _check_batch(net, X, y, tau):
     y = np.ascontiguousarray(y, dtype=np.float64).reshape(-1)
     tau = np.ascontiguousarray(tau, dtype=np.float64).reshape(-1)
     if X.shape[0] == 0:
-        raise ValueError("batch must be nonempty")
+        raise DataError("batch must be nonempty")
     if X.shape[0] != y.shape[0] or y.shape[0] != tau.shape[0]:
-        raise ShapeError("batch arrays must share the leading dimension")
+        raise ShapeError("X, y and tau must share the leading dimension")
     if X.shape[1] != net.input_dim:
         raise ShapeError(f"input has {X.shape[1]} columns, net expects {net.input_dim}")
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y)) and np.all(np.isfinite(tau))):
+        raise DataError("X, y and tau must be finite")
     if np.any(tau <= 0.0) or np.any(tau >= 1.0):
         raise DomainError("all tau must be strictly inside (0,1)")
     return X, y, tau
@@ -175,19 +177,7 @@ def train(net: DenseNet, X, y, tau, config: TrainConfig = None):
     standardisation constants used internally.
     """
     config = config or TrainConfig()
-    X = np.ascontiguousarray(np.atleast_2d(X), dtype=np.float64)
-    y = np.ascontiguousarray(y, dtype=np.float64).reshape(-1)
-    tau = np.ascontiguousarray(tau, dtype=np.float64).reshape(-1)
-    if X.shape[0] == 0:
-        raise DataError("training data must be nonempty")
-    if X.shape[0] != y.shape[0] or y.shape[0] != tau.shape[0]:
-        raise ShapeError("X, y and tau must share the leading dimension")
-    if X.shape[1] != net.input_dim:
-        raise ShapeError(f"input has {X.shape[1]} columns, net expects {net.input_dim}")
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y)) and np.all(np.isfinite(tau))):
-        raise DataError("training data must be finite")
-    if np.any(tau <= 0.0) or np.any(tau >= 1.0):
-        raise DomainError("all tau must be strictly inside (0,1)")
+    X, y, tau = _check_batch(net, X, y, tau)
 
     x_mean = X.mean(axis=0)
     x_std = X.std(axis=0)

@@ -82,9 +82,13 @@ def get_preset(name: str) -> dict:
 
 def build_normal_normal(config: dict) -> NormalNormalModel:
     m = config["model"]
+    prior_sd, likelihood_sd = float(m["prior_sd"]), float(m["likelihood_sd"])
+    if not (prior_sd > 0 and likelihood_sd > 0):
+        raise ValueError(f"model.prior_sd and model.likelihood_sd must be positive, "
+                         f"got {prior_sd} and {likelihood_sd}")
     return NormalNormalModel(prior_mean=float(m["prior_mean"]),
-                             prior_variance=float(m["prior_sd"]) ** 2,
-                             likelihood_variance=float(m["likelihood_sd"]) ** 2,
+                             prior_variance=prior_sd ** 2,
+                             likelihood_variance=likelihood_sd ** 2,
                              n=int(m["n"]))
 
 
@@ -103,7 +107,7 @@ def build_portfolio(config: dict) -> PortfolioProblem:
                             return_mean=float(m["return_mean"]),
                             return_sd=float(m["return_sd"]),
                             risk_aversion=float(m["risk_aversion"]),
-                            weight_domain=tuple(m["weight_domain"]))
+                            weight_domain=decision_domain(config))
 
 
 def portfolio_model_spec(problem: PortfolioProblem) -> ModelSpec:
@@ -123,8 +127,10 @@ def portfolio_model_spec(problem: PortfolioProblem) -> ModelSpec:
 
 def decision_domain(config: dict) -> tuple:
     """The decision interval: the model's weight domain, else (0, 1)."""
-    lo, hi = config["model"].get("weight_domain", (0.0, 1.0))
-    return float(lo), float(hi)
+    lo, hi = map(float, config["model"].get("weight_domain", (0.0, 1.0)))
+    if not lo <= hi:
+        raise ValueError(f"model.weight_domain must be [low, high], got [{lo}, {hi}]")
+    return lo, hi
 
 
 def decision_grid(config: dict) -> np.ndarray:

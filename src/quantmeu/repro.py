@@ -90,6 +90,8 @@ class ExperimentConfig:
         doc = _merge(base, overrides)
         self.experiment = preset or doc.get("experiment", doc.get("name", "custom"))
         self.model = _section(doc, "model")
+        if "n" in self.model:
+            self.model["n"] = _checked_int(self.model["n"], "model.n", 1)
 
         sim = _section(doc, "simulate")
         sim["seed"] = _checked_int(sim.get("seed", 0), "simulate.seed", 0, 2 ** 64 - 1)
@@ -107,8 +109,13 @@ class ExperimentConfig:
         if eu["scheme"] not in _EU_SCHEMES:
             raise UsageError(f"eu.scheme must be one of {', '.join(_EU_SCHEMES)}, "
                              f"got {eu['scheme']!r}")
+        train = _section(doc, "train")
+        for key in ("batch_size", "max_epochs", "patience", "seed"):
+            if key in train:
+                low, high = (0, 2 ** 64 - 1) if key == "seed" else (1, None)
+                train[key] = _checked_int(train[key], f"train.{key}", low, high)
         try:
-            self.train = TrainConfig(**_section(doc, "train"))
+            self.train = TrainConfig(**train)
         except (TypeError, ValueError) as exc:
             raise UsageError(f"bad train configuration: {exc}") from exc
         post = _section(doc, "posterior")
@@ -122,8 +129,8 @@ class ExperimentConfig:
         self.posterior = post
 
     def build(self, builder):
-        """`builder(doc)`; a key the document lacks or a value the builder
-        cannot convert is reported as a `UsageError`."""
+        """`builder(doc)`; a missing key or a value the builder cannot convert
+        or refuses is a `UsageError`; a model's own `DomainError` passes on."""
         try:
             return builder(self.doc)
         except KeyError as exc:
@@ -133,12 +140,6 @@ class ExperimentConfig:
             raise
         except (TypeError, ValueError) as exc:
             raise UsageError(f"bad {self.experiment} config value: {exc}") from None
-
-    def eu_rng(self) -> Optional[RandomSource]:
-        """The tau stream of the random EU scheme; None for the grid."""
-        if self.eu["scheme"] != "random":
-            return None
-        return RandomSource(seed=self.simulate["seed"]).substream(7)
 
 
 def simulate_table(cfg: ExperimentConfig) -> TrainingTable:
@@ -161,18 +162,28 @@ def simulate_table(cfg: ExperimentConfig) -> TrainingTable:
                                 sorted_pairing=sim["sorted_pairing"], **parts)
 
 
+def eu_evaluator(qnet: QuantileNet, cfg: ExperimentConfig):
+    """x -> (eu, se) of the net conditioned on x (the decision of a utility
+    net, the summary of a posterior net). Every call uses the same tau set:
+    the midpoint grid, or the first eu.M draws of the simulation seed's
+    stream 7."""
+    M, scheme, seed = cfg.eu["M"], cfg.eu["scheme"], cfg.simulate["seed"]
+
+    def evaluate(x):
+        rng = RandomSource(seed=seed, stream=7) if scheme == "random" else None
+        # the net's role picks which of d and y_obs it is conditioned on
+        return expected_utility(qnet, d=x, y_obs=x, M=M, scheme=scheme, rng=rng)
+
+    return evaluate
+
+
 def optimize_net(qnet: QuantileNet, cfg: ExperimentConfig) -> OptimizationResult:
     """Maximize the utility net's expected utility over the decision domain."""
-    M, scheme, rng = cfg.eu["M"], cfg.eu["scheme"], cfg.eu_rng()
-
-    def evaluator(d):
-        return expected_utility(qnet, d=d, M=M, scheme=scheme, rng=rng)
-
-    return optimize_decision(evaluator, cfg.build(presets.decision_domain),
+    return optimize_decision(eu_evaluator(qnet, cfg), cfg.build(presets.decision_domain),
                              grid_size=cfg.optimize["grid_size"],
                              refine=cfg.optimize["refine"],
-                             config={"experiment": cfg.experiment, "M": M,
-                                     "scheme": scheme},
+                             config={"experiment": cfg.experiment, "M": cfg.eu["M"],
+                                     "scheme": cfg.eu["scheme"]},
                              seed=cfg.simulate["seed"])
 
 

@@ -3,8 +3,8 @@
 No external special-function dependency: the CDF goes through the stdlib
 complementary error function and the inverse uses the Wichura PPND16
 rational approximation, accurate well below the 1e-9 contract everywhere
-in [1e-8, 1 - 1e-8]. Both accept scalars or numpy arrays; the inverse has
-one implementation, which scalars go through as one-element arrays.
+in [1e-8, 1 - 1e-8]. Both accept scalars or numpy arrays and have one
+implementation each, which scalars go through as arrays.
 """
 
 from __future__ import annotations
@@ -21,11 +21,9 @@ _erfc_vec = np.vectorize(math.erfc, otypes=[np.float64])
 
 
 def normal_cdf(x):
-    """Phi(x) for scalar or array x."""
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return 0.5 * math.erfc(-float(x) / _SQRT2)
-    x = np.asarray(x, dtype=np.float64)
-    return 0.5 * _erfc_vec(-x / _SQRT2)
+    """Phi(x) for scalar or array x; a scalar comes back as a float."""
+    out = 0.5 * _erfc_vec(-np.asarray(x, dtype=np.float64) / _SQRT2)
+    return float(out) if np.ndim(x) == 0 else out
 
 
 # PPND16 coefficients (central region, |p - 0.5| <= 0.425).

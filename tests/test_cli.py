@@ -184,6 +184,25 @@ def test_eu_writes_json(tmp_path, trained_net):
     assert doc["decision"] == 0.2
 
 
+def test_eu_matches_optimize_curve_under_random_scheme(tmp_path, capsys):
+    # every decision of one run is scored on the same tau draws, so `eu`
+    # reproduces each grid row of `optimize`'s curve bit for bit
+    net_path = tmp_path / "net.json"
+    save_net(DenseNet.initialized((2, 8, 1), seed=0), net_path)
+    cfg = tmp_path / "random.json"
+    cfg.write_text(json.dumps({"eu": {"M": 64, "scheme": "random"}}))
+    flags = ["--net", str(net_path), "--config", str(cfg)]
+    assert main(["optimize", "--grid", "5", "--out", str(tmp_path / "opt")] + flags) == 0
+    lines = (tmp_path / "opt" / "curve.csv").read_text().splitlines()[1:]
+    curve = {d: (eu, se) for d, eu, se in
+             ([float(v) for v in line.split(",")] for line in lines)}
+    for d in np.linspace(0.0, 1.0, 5):
+        capsys.readouterr()
+        assert main(["eu", "--decision", repr(float(d))] + flags) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["eu"], doc["se"]) == curve[float(d)], f"d={d}"
+
+
 def test_eu_corrupt_net(tmp_path):
     bad = tmp_path / "net.json"
     bad.write_text(json.dumps({"format": "other", "version": 1}))
@@ -305,6 +324,14 @@ def test_bad_seed_rejected(tmp_path):
      {"train": {"max_epochs": 1}, "posterior": {"M": 0}}],
     ["repro", "normal-normal", "--n", "200", "--config",
      {"train": {"max_epochs": 1}, "posterior": {"sample_seed": -1}}],
+    ["simulate", "--preset", "normal-normal", "--n", "5", "--config",
+     {"model": {"likelihood_sd": 0}}],
+    ["simulate", "--preset", "portfolio", "--n", "5", "--config",
+     {"model": {"weight_domain": [0.5, 0.2]}}],
+    ["simulate", "--preset", "normal-normal", "--n", "5", "--config",
+     {"model": {"prior_sd": -1}}],
+    ["simulate", "--preset", "normal-normal", "--n", "5", "--config",
+     {"model": {"n": 10.7}}],
 ], ids=["simulate-grid0", "repro-grid1", "optimize-grid1", "eu-m1",
         "repro-seed-1", "repro-n0", "repro-train-key", "optimize-eu-m1",
         "optimize-eu-scheme", "simulate-model-key", "simulate-section-n",
@@ -312,7 +339,9 @@ def test_bad_seed_rejected(tmp_path):
         "optimize-train-beta1", "simulate-model-null", "simulate-model-str",
         "simulate-model-n-str", "repro-structural-n-str",
         "repro-structural-domain-null", "optimize-domain-str", "optimize-domain-int",
-        "repro-posterior-m-str", "repro-posterior-m0", "repro-posterior-seed-1"])
+        "repro-posterior-m-str", "repro-posterior-m0", "repro-posterior-seed-1",
+        "simulate-likelihood-sd0", "simulate-domain-reversed", "simulate-prior-sd-neg",
+        "simulate-model-n-fraction"])
 def test_too_small_grid_or_m_is_usage_error(tmp_path, capsys, argv):
     net_path = tmp_path / "net.json"
     save_net(DenseNet.initialized((2, 8, 1), seed=0), net_path)
@@ -336,7 +365,10 @@ def test_too_small_grid_or_m_is_usage_error(tmp_path, capsys, argv):
     ("simulate", "N", 10.7, "an integer"),
     ("eu", "M", True, "an integer"),
     ("simulate", "seed", "3", "an integer"),
-], ids=["sorted-pairing-str", "refine-str", "n-fraction", "eu-m-bool", "seed-str"])
+    ("train", "batch_size", 2.5, "an integer"),
+    ("train", "max_epochs", True, "an integer"),
+], ids=["sorted-pairing-str", "refine-str", "n-fraction", "eu-m-bool", "seed-str",
+        "train-batch-fraction", "train-epochs-bool"])
 def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, section, key, value,
                                                     wanted):
     config_path = tmp_path / "config.json"

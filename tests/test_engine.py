@@ -420,6 +420,19 @@ def test_optimize_quadratic_with_refinement():
     assert not res.ties_detected
 
 
+def test_optimize_scores_each_point_once():
+    calls = []
+
+    def evaluator(d):
+        calls.append(d)
+        return -((d - 0.3456) ** 2), d
+
+    res = optimize_decision(evaluator, (0.0, 1.0), grid_size=101, refine=True)
+    assert len(calls) == 101 + len(res.refine_trace)
+    # the refined winner keeps the (eu, se) of its search evaluation
+    assert (res.best_decision, res.best_eu, res.best_decision) in res.curve
+
+
 def test_optimize_without_refinement_stays_on_grid():
     res = optimize_decision(quad_eu(0.3456), (0.0, 1.0), grid_size=101,
                             refine=False)
