@@ -36,7 +36,8 @@ def layer_offsets(layer_sizes):
             off)
 
 
-def _layer_views(params, sizes, w_offs, b_offs):
+def layer_views(params, sizes, w_offs, b_offs):
+    """(weights (out, in), biases) views of each layer into the flat vector."""
     for l in range(len(sizes) - 1):
         din, dout = sizes[l], sizes[l + 1]
         w = params[w_offs[l]:w_offs[l] + dout * din].reshape(dout, din)
@@ -47,7 +48,7 @@ def _layer_views(params, sizes, w_offs, b_offs):
 def _activations(params, sizes, w_offs, b_offs, X):
     """Each layer's output in turn: ReLU on every layer but the last."""
     a = X
-    for l, (w, b) in enumerate(_layer_views(params, sizes, w_offs, b_offs)):
+    for l, (w, b) in enumerate(layer_views(params, sizes, w_offs, b_offs)):
         a = a @ w.T
         a += b
         if l < len(sizes) - 2:
@@ -70,8 +71,8 @@ def loss_grad_batch(params, sizes, w_offs, b_offs, X, y, tau):
     dpred = np.where(neg, 1.0 - tau, -tau) / X.shape[0]
 
     grad = np.empty_like(params)
-    layers = list(zip(_layer_views(params, sizes, w_offs, b_offs),
-                      _layer_views(grad, sizes, w_offs, b_offs)))
+    layers = list(zip(layer_views(params, sizes, w_offs, b_offs),
+                      layer_views(grad, sizes, w_offs, b_offs)))
     delta = dpred[:, None]
     for l in range(len(layers) - 1, -1, -1):
         (w, _), (gw, gb) = layers[l]

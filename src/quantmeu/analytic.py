@@ -54,15 +54,9 @@ class NormalPosterior:
     def sigma_star(self) -> float:
         return math.sqrt(self.sigma_star_sq)
 
-    def quantile(self, u):
-        return self.mu_star + self.sigma_star * normal_quantile(u)
-
     def cdf(self, x):
         return normal_cdf((np.asarray(x, dtype=np.float64) - self.mu_star)
                           / self.sigma_star)
-
-    def view(self) -> "DistributionView":
-        return normal_view(self.mu_star, self.sigma_star)
 
 
 def conjugate_posterior(model: NormalNormalModel, y) -> NormalPosterior:
@@ -80,6 +74,23 @@ def conjugate_posterior(model: NormalNormalModel, y) -> NormalPosterior:
     return NormalPosterior(mu_star=mu_star, sigma_star_sq=sigma_star_sq, t=t, s=s)
 
 
+def _distortion(p, interior: Callable):
+    """A distortion g at p in [0,1]: exactly 0 at 0 and 1 at 1, `interior`
+    on the open interval, clipped to [0,1]; a scalar p gives a float."""
+    arr = np.asarray(p, dtype=np.float64)
+    scalar = arr.ndim == 0
+    arr = np.atleast_1d(arr)
+    # written so that NaN fails the check too
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
+        raise DomainError("distortion argument must lie in [0,1]")
+    out = np.where(arr == 1.0, 1.0, 0.0)
+    inner = (arr != 0.0) & (arr != 1.0)
+    if np.any(inner):
+        out[inner] = interior(arr[inner])
+    out = np.clip(out, 0.0, 1.0)
+    return float(out[0]) if scalar else out
+
+
 @dataclass
 class WangDistortion:
     """Distortion g(p) = Phi(lambda1 * Phi^{-1}(p) + lam)."""
@@ -92,19 +103,8 @@ class WangDistortion:
             raise DomainError("lambda1 must be positive")
 
     def __call__(self, p):
-        """Evaluate g with exact endpoint values g(0)=0 and g(1)=1."""
-        arr = np.asarray(p, dtype=np.float64)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
-        out = np.empty_like(arr)
-        zero = arr == 0.0
-        one = arr == 1.0
-        inner = ~(zero | one)
-        out[zero] = 0.0
-        out[one] = 1.0
-        if np.any(inner):
-            out[inner] = wang_g(arr[inner], self)
-        return float(out[0]) if scalar else out
+        return _distortion(p, lambda q: normal_cdf(self.lambda1 * normal_quantile(q)
+                                                   + self.lam))
 
 
 def wang_params(model: NormalNormalModel, y) -> WangDistortion:
@@ -115,19 +115,6 @@ def wang_params(model: NormalNormalModel, y) -> WangDistortion:
     lambda1 = alpha / post.sigma_star
     lam = alpha * lambda1 * (post.s - y.shape[0] * model.prior_mean) / post.t
     return WangDistortion(lambda1=lambda1, lam=lam)
-
-
-def _check_open_unit(p, name):
-    arr = np.asarray(p, dtype=np.float64)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-        raise DomainError(f"{name} must lie strictly inside (0,1)")
-    return arr
-
-
-def wang_g(p, w: WangDistortion):
-    """g(p) = Phi(lambda1 * Phi^{-1}(p) + lam) for p strictly inside (0,1)."""
-    _check_open_unit(p, "p")
-    return normal_cdf(w.lambda1 * normal_quantile(p) + w.lam)
 
 
 def prior_to_posterior_survival_check(theta_grid, model: NormalNormalModel, y) -> float:
@@ -300,36 +287,25 @@ def yaari_g(u: Callable, dist: DistributionView) -> Callable:
                 break
         return 0.5 * (a + b)
 
-    def g(p):
-        arr = np.asarray(p, dtype=np.float64)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise DomainError("distortion argument must lie in [0,1]")
-        out = np.where(arr == 1.0, 1.0, 0.0)
-        inner = (arr != 0.0) & (arr != 1.0)
-        if np.any(inner):
-            t = np.asarray(dist.quantile(1.0 - arr[inner]), dtype=np.float64)
-            x = np.array([u_inverse(float(ti)) for ti in t])
-            out[inner] = dist.survival(x)
-        out = np.clip(out, 0.0, 1.0)
-        return float(out[0]) if scalar else out
+    def interior(p):
+        t = np.asarray(dist.quantile(1.0 - p), dtype=np.float64)
+        return dist.survival(np.array([u_inverse(float(ti)) for ti in t]))
 
-    return g
+    return lambda p: _distortion(p, interior)
 
 
-def silver_normalization(g: Callable, M: int = DEFAULT_M, h: float = 1e-6) -> float:
+def silver_normalization(g: Callable, M: int = DEFAULT_M) -> float:
     """Integral of g'(1 - tau) over the unit interval; telescopes to 1.
 
     Equals int g'(S_X(t)) dF_X(t) for any continuous distribution after
     the tau substitution, so no distribution enters the computation.
-    Derivative stencils that would leave [0,1] are clipped (a warning is
-    issued); g must therefore be defined at 0 and 1.
+    The derivative is a central difference of step 1e-6; stencils that
+    would leave [0,1] (M > 500,000) are clipped with a warning, so g must
+    be defined at 0 and 1.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
-    if not h > 0:
-        raise ValueError("h must be positive")
+    h = 1e-6
     tau = (np.arange(M) + 0.5) / M
     p = 1.0 - tau
     up = p + h

@@ -72,9 +72,7 @@ def cmd_train(args) -> int:
     cfg = _load_config(args)
     outdir = _outdir(args)
     table = TrainingTable.from_csv(args.table)
-    target = args.target
-    if target == "auto":
-        target = "utility" if table.has_utility else "posterior"
+    target = "utility" if table.has_utility else "posterior"
     trainer = train_utility_net if target == "utility" else train_posterior_net
     qnet, history = trainer(table, cfg.train)
 
@@ -91,9 +89,10 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_quantile_net(path, role: str) -> QuantileNet:
+def _load_quantile_net(path) -> QuantileNet:
+    # eu_evaluator conditions a net of either role on the same value
     net = load_net(path)
-    return QuantileNet(net=net, role=role, conditioning_dim=net.input_dim - 1)
+    return QuantileNet(net=net, role="utility", conditioning_dim=net.input_dim - 1)
 
 
 def cmd_optimize(args) -> int:
@@ -103,7 +102,7 @@ def cmd_optimize(args) -> int:
     if cfg.experiment == presets.PORTFOLIO and cfg.model:
         kelly = float(kelly_weight(cfg.build(presets.build_portfolio)))
         vlines.append(VLine(kelly, label=f"{kelly:.2f}", color="#d62728"))
-    result = repro.optimize_net(_load_quantile_net(args.net, "utility"), cfg)
+    result = repro.optimize_net(_load_quantile_net(args.net), cfg)
 
     result_path = os.path.join(outdir, "result.json")
     result.save_json(result_path)
@@ -130,7 +129,7 @@ def cmd_eu(args) -> int:
     cfg = _load_config(args)
     if not math.isfinite(args.decision):
         raise UsageError(f"--decision must be finite, got {args.decision}")
-    evaluate = repro.eu_evaluator(_load_quantile_net(args.net, args.role), cfg)
+    evaluate = repro.eu_evaluator(_load_quantile_net(args.net), cfg)
     est, se = evaluate(args.decision)
     doc = {"decision": args.decision, "eu": est, "se": se, "M": cfg.eu["M"],
            "scheme": cfg.eu["scheme"]}
@@ -184,8 +183,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="train a quantile net from a table CSV")
     common(p)
     p.add_argument("--table", required=True, help="training-table CSV path")
-    p.add_argument("--target", choices=("auto", "posterior", "utility"),
-                   default="auto", help="which net to train")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("optimize", help="maximize expected utility over decisions")
@@ -200,8 +197,6 @@ def build_parser() -> _Parser:
                    help="decision (or conditioning) value")
     p.add_argument("--m", type=int, help="number of tau points")
     p.add_argument("--scheme", help="tau scheme: uniform_grid or random")
-    p.add_argument("--role", choices=("utility", "posterior"),
-                   default="utility", help="how to interpret the net")
     p.set_defaults(func=cmd_eu)
 
     p = sub.add_parser("repro", help="run a full preset pipeline with checks")

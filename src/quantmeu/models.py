@@ -39,10 +39,6 @@ class RandomSource:
         key = np.array([self.seed, self.stream], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
-    def substream(self, index: int) -> "RandomSource":
-        """Independent stream derived from the same seed."""
-        return RandomSource(seed=self.seed, stream=int(index))
-
     def uniform(self, n: int) -> np.ndarray:
         """n open-interval uniforms in (0,1)."""
         if n < 0:
@@ -148,8 +144,7 @@ class PortfolioProblem:
         def evaluate(decision, outcome):
             return cara_utility(portfolio_wealth(decision, outcome, rf), gamma)
 
-        return UtilitySpec(evaluate=evaluate, decision_domain=self.weight_domain,
-                           name="cara-portfolio")
+        return UtilitySpec(evaluate=evaluate, decision_domain=self.weight_domain)
 
 
 @dataclass
@@ -158,7 +153,6 @@ class UtilitySpec:
 
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
     decision_domain: tuple = (0.0, 1.0)
-    name: str = "utility"
 
     def __post_init__(self):
         self.decision_domain = _interval(self.decision_domain)

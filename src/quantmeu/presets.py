@@ -22,7 +22,6 @@ PORTFOLIO = "portfolio"
 
 _PRESETS = {
     NORMAL_NORMAL: {
-        "name": NORMAL_NORMAL,
         "experiment": NORMAL_NORMAL,
         "model": {
             "prior_mean": 0.0,
@@ -44,7 +43,6 @@ _PRESETS = {
         "posterior": {"M": 10000, "sample_seed": 5150},
     },
     PORTFOLIO: {
-        "name": PORTFOLIO,
         "experiment": PORTFOLIO,
         "model": {
             "risk_free": 0.05,
@@ -92,11 +90,10 @@ def build_normal_normal(config: dict) -> NormalNormalModel:
                              n=int(m["n"]))
 
 
-def generate_observed_data(config: dict, seed=None) -> np.ndarray:
+def generate_observed_data(config: dict) -> np.ndarray:
     """Seeded draw of the observed sample at the preset's true parameter."""
     m = config["model"]
-    rng = RandomSource(seed=int(config["data_seed"] if seed is None else seed),
-                       stream=9)
+    rng = RandomSource(seed=int(config["data_seed"]), stream=9)
     return rng.normal(int(m["n"]), mean=float(m["true_theta"]),
                       sd=float(m["likelihood_sd"]))
 
@@ -128,8 +125,9 @@ def portfolio_model_spec(problem: PortfolioProblem) -> ModelSpec:
 def decision_domain(config: dict) -> tuple:
     """The decision interval: the model's weight domain, else (0, 1)."""
     lo, hi = map(float, config["model"].get("weight_domain", (0.0, 1.0)))
-    if not lo <= hi:
-        raise ValueError(f"model.weight_domain must be [low, high], got [{lo}, {hi}]")
+    if not lo < hi:
+        raise ValueError(f"model.weight_domain must be [low, high] with low < high, "
+                         f"got [{lo}, {hi}]")
     return lo, hi
 
 

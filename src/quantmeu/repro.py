@@ -26,7 +26,7 @@ from .analytic import (cara_normal_eu, conjugate_posterior, kelly_weight,
 from .engine import (OptimizationResult, QuantileNet, build_training_table,
                      expected_utility, optimize_decision, posterior_sample,
                      train_posterior_net, train_utility_net)
-from .errors import DataError, QuantmeuError, UsageError
+from .errors import DataError, UsageError
 from .models import RandomSource, summary_mean
 from .net import TrainConfig, save_net
 from .special import normal_cdf
@@ -75,7 +75,7 @@ class ExperimentConfig:
     """A preset merged with overrides, every field a stage reads checked once.
 
     The preset, when given, names the experiment; otherwise the merged
-    document's `experiment` (or `name`) does. `doc` is the merged document
+    document's `experiment` does. `doc` is the merged document
     with the checked `simulate`, `eu`, `optimize` and `posterior` sections
     in place, as the presets' builders read it. Bad values raise `UsageError`.
     """
@@ -88,7 +88,7 @@ class ExperimentConfig:
             except DataError as exc:
                 raise UsageError(str(exc)) from exc
         doc = _merge(base, overrides)
-        self.experiment = preset or doc.get("experiment", doc.get("name", "custom"))
+        self.experiment = preset or doc.get("experiment", "custom")
         self.model = _section(doc, "model")
         if "n" in self.model:
             self.model["n"] = _checked_int(self.model["n"], "model.n", 1)
@@ -129,15 +129,13 @@ class ExperimentConfig:
         self.posterior = post
 
     def build(self, builder):
-        """`builder(doc)`; a missing key or a value the builder cannot convert
-        or refuses is a `UsageError`; a model's own `DomainError` passes on."""
+        """`builder(doc)`; a missing key, or a value that the builder cannot
+        convert or that it or the model refuses, is a `UsageError`."""
         try:
             return builder(self.doc)
         except KeyError as exc:
             raise UsageError(f"the {self.experiment} config lacks key "
                              f"{exc.args[0]!r}") from None
-        except QuantmeuError:
-            raise
         except (TypeError, ValueError) as exc:
             raise UsageError(f"bad {self.experiment} config value: {exc}") from None
 

@@ -128,14 +128,6 @@ def test_config_missing_file(portfolio_table, tmp_path):
                  "--config", str(tmp_path / "absent.json")]) == 2
 
 
-def test_model_domain_error_keeps_exit_2(tmp_path):
-    # a value the builder converts but the model itself rejects
-    cfg = tmp_path / "negative_sd.json"
-    cfg.write_text(json.dumps({"model": {"return_sd": -1.0}}))
-    assert main(["repro", "portfolio", "--structural", "--config", str(cfg),
-                 "--out", str(tmp_path / "out")]) == 2
-
-
 # ---------------------------------------------------------------------------
 # optimize and eu
 # ---------------------------------------------------------------------------
@@ -332,6 +324,15 @@ def test_bad_seed_rejected(tmp_path):
      {"model": {"prior_sd": -1}}],
     ["simulate", "--preset", "normal-normal", "--n", "5", "--config",
      {"model": {"n": 10.7}}],
+    ["repro", "portfolio", "--structural", "--config", {"model": {"return_sd": -1}}],
+    ["simulate", "--preset", "portfolio", "--n", "5", "--config",
+     {"model": {"weight_domain": [0.3, 0.3]}}],
+    ["optimize", "--net", "{net}", "--grid", "3", "--config",
+     {"model": {"weight_domain": [0.3, 0.3]}}],
+    ["simulate", "--preset", "portfolio", "--n", "5", "--config",
+     {"model": {"weight_domain": [0.5, 2]}}],
+    ["eu", "--net", "{net}", "--decision", "0.4", "--role", "utility"],
+    ["train", "--table", "absent.csv", "--target", "auto"],
 ], ids=["simulate-grid0", "repro-grid1", "optimize-grid1", "eu-m1",
         "repro-seed-1", "repro-n0", "repro-train-key", "optimize-eu-m1",
         "optimize-eu-scheme", "simulate-model-key", "simulate-section-n",
@@ -341,7 +342,9 @@ def test_bad_seed_rejected(tmp_path):
         "repro-structural-domain-null", "optimize-domain-str", "optimize-domain-int",
         "repro-posterior-m-str", "repro-posterior-m0", "repro-posterior-seed-1",
         "simulate-likelihood-sd0", "simulate-domain-reversed", "simulate-prior-sd-neg",
-        "simulate-model-n-fraction"])
+        "simulate-model-n-fraction", "repro-structural-return-sd-neg",
+        "simulate-domain-degenerate", "optimize-domain-degenerate",
+        "simulate-domain-outside-unit", "eu-role-flag", "train-target-flag"])
 def test_too_small_grid_or_m_is_usage_error(tmp_path, capsys, argv):
     net_path = tmp_path / "net.json"
     save_net(DenseNet.initialized((2, 8, 1), seed=0), net_path)

@@ -27,14 +27,6 @@ def test_random_source_streams_differ():
     assert not np.array_equal(a, b)
 
 
-def test_substream_independent_of_draw_order():
-    root = RandomSource(5)
-    root.uniform(100)
-    late = root.substream(4).uniform(8)
-    early = RandomSource(5).substream(4).uniform(8)
-    np.testing.assert_array_equal(late, early)
-
-
 def test_uniform_open_interval():
     u = RandomSource(0).uniform(10000)
     assert np.all(u > 0.0)

@@ -35,7 +35,7 @@ def _pinball_loss(prediction, target, tau):
 def test_initialized_shapes_and_ranges():
     net = toy_net((3, 16, 8, 1), seed=4)
     assert net.input_dim == 3
-    assert net.n_params == (3 * 16 + 16) + (16 * 8 + 8) + (8 * 1 + 1)
+    assert net.params.size == (3 * 16 + 16) + (16 * 8 + 8) + (8 * 1 + 1)
     for l, fan_in in enumerate((3, 16, 8)):
         bound = math.sqrt(6.0 / fan_in)
         w = net.weights(l)
@@ -235,7 +235,7 @@ def test_grad_check_small_on_smooth_config():
     tau = rng.uniform(0.1, 0.9, size=9)
     res = grad_check(net, X, y, tau)
     assert res.max_rel_error < 1e-4
-    assert 0 <= res.worst_index < net.n_params
+    assert 0 <= res.worst_index < net.params.size
 
 
 def test_grad_check_flags_broken_gradient(monkeypatch):

@@ -40,7 +40,7 @@ def test_generate_observed_data_seeded():
     b = generate_observed_data(cfg)
     np.testing.assert_array_equal(a, b)
     assert a.shape == (cfg["model"]["n"],)
-    c = generate_observed_data(cfg, seed=1)
+    c = generate_observed_data(dict(cfg, data_seed=1))
     assert not np.array_equal(a, c)
     # centered near the generating parameter
     assert abs(a.mean() - cfg["model"]["true_theta"]) < 5.0
