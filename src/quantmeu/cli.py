@@ -19,7 +19,7 @@ import numpy as np
 
 from . import presets, repro
 from .analytic import kelly_weight
-from .engine import QuantileNet, train_posterior_net, train_utility_net
+from .engine import train_posterior_net, train_utility_net
 from .errors import QuantmeuError, UsageError
 from .net import load_net, save_net
 from .svgplot import Series, VLine, line_plot
@@ -27,6 +27,9 @@ from .tables import TrainingTable, read_json, write_csv, write_json
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise UsageError(message)
 
@@ -34,12 +37,13 @@ class _Parser(argparse.ArgumentParser):
 def _overrides(args) -> dict:
     """The --config document with the value flags set on top of it."""
     doc = read_json(args.config, "config file") if args.config else {}
-    for section, key, value in (("simulate", "seed", args.seed),
-                                ("simulate", "N", args.n),
-                                ("simulate", "grid_size", args.grid),
-                                ("optimize", "grid_size", args.grid),
-                                ("eu", "M", getattr(args, "m", None)),
-                                ("eu", "scheme", getattr(args, "scheme", None))):
+    flags = vars(args)   # each subcommand has only the flags it reads
+    for section, key, value in (("simulate", "seed", flags.get("seed")),
+                                ("simulate", "N", flags.get("n")),
+                                ("simulate", "grid_size", flags.get("grid")),
+                                ("optimize", "grid_size", flags.get("grid")),
+                                ("eu", "M", flags.get("m")),
+                                ("eu", "scheme", flags.get("scheme"))):
         # a section that is not an object is left for ExperimentConfig to report
         if value is not None and isinstance(doc.setdefault(section, {}), dict):
             doc[section][key] = value
@@ -89,12 +93,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_quantile_net(path) -> QuantileNet:
-    # eu_evaluator conditions a net of either role on the same value
-    net = load_net(path)
-    return QuantileNet(net=net, role="utility", conditioning_dim=net.input_dim - 1)
-
-
 def cmd_optimize(args) -> int:
     cfg = _load_config(args)
     outdir = _outdir(args)
@@ -102,7 +100,7 @@ def cmd_optimize(args) -> int:
     if cfg.experiment == presets.PORTFOLIO and cfg.model:
         kelly = float(kelly_weight(cfg.build(presets.build_portfolio)))
         vlines.append(VLine(kelly, label=f"{kelly:.2f}", color="#d62728"))
-    result = repro.optimize_net(_load_quantile_net(args.net), cfg)
+    result = repro.optimize_net(load_net(args.net), cfg)
 
     result_path = os.path.join(outdir, "result.json")
     result.save_json(result_path)
@@ -129,7 +127,7 @@ def cmd_eu(args) -> int:
     cfg = _load_config(args)
     if not math.isfinite(args.decision):
         raise UsageError(f"--decision must be finite, got {args.decision}")
-    evaluate = repro.eu_evaluator(_load_quantile_net(args.net), cfg)
+    evaluate = repro.eu_evaluator(load_net(args.net), cfg)
     est, se = evaluate(args.decision)
     doc = {"decision": args.decision, "eu": est, "se": se, "M": cfg.eu["M"],
            "scheme": cfg.eu["scheme"]}
@@ -145,8 +143,6 @@ def cmd_repro(args) -> int:
     if runner is None:
         raise UsageError(f"unknown experiment {args.experiment!r}; "
                          f"choose from {', '.join(sorted(repro.RUNNERS))}")
-    if args.preset and args.preset != args.experiment:
-        raise UsageError("repro takes its preset from the experiment argument")
     outdir = args.out or args.experiment + "-repro"
     report = runner(outdir, overrides=_overrides(args) or None,
                     structural_only=args.structural)
@@ -168,30 +164,33 @@ def build_parser() -> _Parser:
                                  "train, and optimize expected utility.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    value_flags = {"--preset": {"help": "named preset configuration"},
+                   "--seed": {"type": int, "help": "simulation seed (u64)"},
+                   "--n": {"type": int, "help": "number of table rows"},
+                   "--grid": {"type": int, "help": "decision grid size"}}
+
+    def common(p, *flags):
         p.add_argument("--config", help="JSON config file; overrides the preset")
-        p.add_argument("--seed", type=int, help="simulation seed (u64)")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--preset", help="named preset configuration")
-        p.add_argument("--n", type=int, help="number of table rows")
-        p.add_argument("--grid", type=int, help="decision grid size")
+        for flag in flags:
+            p.add_argument(flag, **value_flags[flag])
 
     p = sub.add_parser("simulate", help="write a training-table CSV")
-    common(p)
+    common(p, "--preset", "--seed", "--n", "--grid")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("train", help="train a quantile net from a table CSV")
-    common(p)
+    common(p, "--preset")
     p.add_argument("--table", required=True, help="training-table CSV path")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("optimize", help="maximize expected utility over decisions")
-    common(p)
+    common(p, "--preset", "--seed", "--grid")
     p.add_argument("--net", required=True, help="serialized net JSON path")
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("eu", help="evaluate expected utility at one decision")
-    common(p)
+    common(p, "--preset", "--seed")
     p.add_argument("--net", required=True, help="serialized net JSON path")
     p.add_argument("--decision", type=float, required=True,
                    help="decision (or conditioning) value")
@@ -200,7 +199,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_eu)
 
     p = sub.add_parser("repro", help="run a full preset pipeline with checks")
-    common(p)
+    common(p, "--seed", "--n", "--grid")
     p.add_argument("experiment", help="normal-normal or portfolio")
     p.add_argument("--structural", action="store_true",
                    help="skip training; emit closed-form artifacts only")

@@ -3,7 +3,8 @@
 Builds the simulated training table, fits quantile networks for the
 posterior and for the utility distribution, evaluates expected utility
 as an integral of the quantile function over tau, and maximizes it over
-a one-dimensional decision interval.
+a one-dimensional decision interval. This module alone knows a quantile
+net's input layout: the conditioning columns, then tau.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import net as netmod
 from .errors import DataError, DomainError, NumericError, ShapeError, SimulationError
-from .models import ModelSpec, RandomSource, UtilitySpec, simulate_pairs
+from .models import ModelSpec, RandomSource, UtilitySpec, _interval, simulate_pairs
 from .net import DenseNet, TrainConfig
 from .tables import TrainingTable, write_csv, write_json
 
@@ -57,8 +58,7 @@ class QuantileNet:
         return self.net.predict(X)
 
     def quantile_curve(self, cond, taus) -> np.ndarray:
-        """Monotone-rearranged quantile values over a sorted tau grid."""
-        taus = np.sort(np.asarray(taus, dtype=np.float64).reshape(-1))
+        """Monotone-rearranged quantile values over an already sorted tau grid."""
         return np.sort(self.evaluate(cond, taus))
 
 
@@ -142,27 +142,30 @@ def build_training_table(model: ModelSpec, utility: Optional[UtilitySpec] = None
                          provenance=provenance)
 
 
-def _train_quantile_net(design, role: str, conditioning_dim: int,
-                        config: Optional[TrainConfig], hidden):
-    X, y, tau = design
+def _train_quantile_net(cond, target, tau, role: str, config: Optional[TrainConfig],
+                        hidden):
+    X = np.column_stack([cond, tau])
     config = config or TrainConfig()
     layer_sizes = (X.shape[1],) + tuple(hidden) + (1,)
     base = DenseNet.initialized(layer_sizes, seed=config.seed)
-    trained, history = netmod.train(base, X, y, tau, config)
-    return QuantileNet(net=trained, role=role, conditioning_dim=conditioning_dim), history
+    trained, history = netmod.train(base, X, target, tau, config)
+    return QuantileNet(net=trained, role=role, conditioning_dim=X.shape[1] - 1), history
 
 
 def train_posterior_net(table: TrainingTable, config: Optional[TrainConfig] = None,
                         hidden=netmod.DEFAULT_HIDDEN):
     """Fit H(summary, tau) -> theta quantiles on the table."""
-    return _train_quantile_net(table.posterior_design(), "posterior",
-                               table.summary_dim, config, hidden)
+    return _train_quantile_net(table.summary, table.theta, table.tau, "posterior",
+                               config, hidden)
 
 
 def train_utility_net(table: TrainingTable, config: Optional[TrainConfig] = None,
                       hidden=netmod.DEFAULT_HIDDEN):
     """Fit G(decision, tau) -> utility quantiles on the table."""
-    return _train_quantile_net(table.utility_design(), "utility", 1, config, hidden)
+    if not table.has_utility:
+        raise DataError("table has no decision/utility columns")
+    return _train_quantile_net(table.decision, table.utility, table.tau, "utility",
+                               config, hidden)
 
 
 def posterior_sample(H: QuantileNet, y_obs, M: int, rng: RandomSource) -> np.ndarray:
@@ -258,9 +261,7 @@ def optimize_decision(eu_evaluator: Callable, domain, grid_size: int = 101,
     therefore scores every d on one tau set (common random numbers). Each
     point, the refined winner included, is scored once.
     """
-    lo, hi = float(domain[0]), float(domain[1])
-    if not lo < hi:
-        raise DomainError(f"domain ({lo}, {hi}) is not a proper interval")
+    lo, hi = _interval(domain)
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
 

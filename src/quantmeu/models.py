@@ -108,9 +108,10 @@ class NormalNormalModel:
 
 
 def _interval(domain) -> tuple:
-    lo, hi = float(domain[0]), float(domain[1])
-    if not lo <= hi:
-        raise DomainError(f"empty interval ({lo}, {hi})")
+    """(low, high) as floats; refuses anything but a pair with low < high."""
+    lo, hi = map(float, domain)
+    if not lo < hi:
+        raise DomainError(f"domain ({lo}, {hi}) is not a proper interval")
     return lo, hi
 
 

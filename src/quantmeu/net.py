@@ -83,6 +83,11 @@ class DenseNet:
         self.x_scale = np.asarray(self.x_scale, dtype=np.float64)
         if self.x_mean.shape != (self.input_dim,) or self.x_scale.shape != (self.input_dim,):
             raise ShapeError("x_mean and x_scale need one entry per input")
+        if not (np.all(np.isfinite(self.x_mean)) and np.isfinite(self.y_mean)):
+            raise ValueError("standardization means must be finite")
+        if not (np.all(np.isfinite(self.x_scale) & (self.x_scale > 0))
+                and np.isfinite(self.y_scale) and self.y_scale > 0):
+            raise ValueError("standardization scales must be positive and finite")
 
     @classmethod
     def initialized(cls, layer_sizes, seed=0):
@@ -333,13 +338,13 @@ def net_from_document(doc: dict) -> DenseNet:
                 raise DataError(f"layer {l} weight/bias shapes do not match layer_sizes")
             w[:] = w_doc
             b[:] = b_doc
-        std = doc.get("standardization", {})
+        std = doc["standardization"]
         return DenseNet(layer_sizes=sizes, params=params,
-                        x_mean=np.asarray(std.get("x_mean", np.zeros(sizes[0]))),
-                        x_scale=np.asarray(std.get("x_scale", np.ones(sizes[0]))),
-                        y_mean=float(std.get("y_mean", 0.0)),
-                        y_scale=float(std.get("y_scale", 1.0)),
-                        scale_fallback=bool(std.get("fallback", False)),
+                        x_mean=np.asarray(std["x_mean"]),
+                        x_scale=np.asarray(std["x_scale"]),
+                        y_mean=float(std["y_mean"]),
+                        y_scale=float(std["y_scale"]),
+                        scale_fallback=bool(std["fallback"]),
                         init_seed=doc.get("seed"),
                         train_config=doc.get("config"))
     except QuantmeuError:

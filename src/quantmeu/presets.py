@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DataError
 from .models import (ModelSpec, NormalNormalModel, PortfolioProblem,
-                     RandomSource, summary_mean)
+                     RandomSource, _interval, summary_mean)
 from .special import normal_quantile
 
 NORMAL_NORMAL = "normal-normal"
@@ -124,11 +124,7 @@ def portfolio_model_spec(problem: PortfolioProblem) -> ModelSpec:
 
 def decision_domain(config: dict) -> tuple:
     """The decision interval: the model's weight domain, else (0, 1)."""
-    lo, hi = map(float, config["model"].get("weight_domain", (0.0, 1.0)))
-    if not lo < hi:
-        raise ValueError(f"model.weight_domain must be [low, high] with low < high, "
-                         f"got [{lo}, {hi}]")
-    return lo, hi
+    return _interval(config["model"].get("weight_domain", (0.0, 1.0)))
 
 
 def decision_grid(config: dict) -> np.ndarray:

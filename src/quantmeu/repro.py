@@ -28,7 +28,7 @@ from .engine import (OptimizationResult, QuantileNet, build_training_table,
                      train_posterior_net, train_utility_net)
 from .errors import DataError, UsageError
 from .models import RandomSource, summary_mean
-from .net import TrainConfig, save_net
+from .net import DenseNet, TrainConfig, save_net
 from .special import normal_cdf
 from .svgplot import Series, VLine, line_plot
 from .tables import TrainingTable, write_csv, write_json
@@ -160,24 +160,24 @@ def simulate_table(cfg: ExperimentConfig) -> TrainingTable:
                                 sorted_pairing=sim["sorted_pairing"], **parts)
 
 
-def eu_evaluator(qnet: QuantileNet, cfg: ExperimentConfig):
+def eu_evaluator(net: DenseNet, cfg: ExperimentConfig):
     """x -> (eu, se) of the net conditioned on x (the decision of a utility
     net, the summary of a posterior net). Every call uses the same tau set:
     the midpoint grid, or the first eu.M draws of the simulation seed's
     stream 7."""
     M, scheme, seed = cfg.eu["M"], cfg.eu["scheme"], cfg.simulate["seed"]
+    qnet = QuantileNet(net, "utility", net.input_dim - 1)
 
     def evaluate(x):
         rng = RandomSource(seed=seed, stream=7) if scheme == "random" else None
-        # the net's role picks which of d and y_obs it is conditioned on
-        return expected_utility(qnet, d=x, y_obs=x, M=M, scheme=scheme, rng=rng)
+        return expected_utility(qnet, d=x, M=M, scheme=scheme, rng=rng)
 
     return evaluate
 
 
-def optimize_net(qnet: QuantileNet, cfg: ExperimentConfig) -> OptimizationResult:
+def optimize_net(net: DenseNet, cfg: ExperimentConfig) -> OptimizationResult:
     """Maximize the utility net's expected utility over the decision domain."""
-    return optimize_decision(eu_evaluator(qnet, cfg), cfg.build(presets.decision_domain),
+    return optimize_decision(eu_evaluator(net, cfg), cfg.build(presets.decision_domain),
                              grid_size=cfg.optimize["grid_size"],
                              refine=cfg.optimize["refine"],
                              config={"experiment": cfg.experiment, "M": cfg.eu["M"],
@@ -377,7 +377,7 @@ def run_portfolio(outdir, overrides: Optional[dict] = None,
         save_net(G.net, net_path)
         report.artifacts.append(net_path)
 
-        result = optimize_net(G, cfg)
+        result = optimize_net(G.net, cfg)
         r_json = os.path.join(outdir, "result.json")
         result.save_json(r_json)
         c_csv = os.path.join(outdir, "eu_curve.csv")

@@ -103,18 +103,6 @@ class TrainingTable:
     def has_utility(self) -> bool:
         return self.utility is not None
 
-    def posterior_design(self):
-        """Features (summary, tau) and targets theta for the posterior net."""
-        X = np.column_stack([self.summary, self.tau])
-        return np.ascontiguousarray(X), self.theta.copy(), self.tau.copy()
-
-    def utility_design(self):
-        """Features (decision, tau) and targets utility for the utility net."""
-        if not self.has_utility:
-            raise DataError("table has no decision/utility columns")
-        X = np.column_stack([self.decision, self.tau])
-        return np.ascontiguousarray(X), self.utility.copy(), self.tau.copy()
-
     def to_csv(self, path) -> None:
         if self.summary_dim != 1:
             raise DataError("CSV serialization supports scalar summaries only")

@@ -231,10 +231,10 @@ def test_repro_random_scheme_uses_optimize_stream(tmp_path):
     cfg = tmp_path / "random.json"
     cfg.write_text(json.dumps({"train": {"max_epochs": 2, "patience": 2},
                                "eu": {"M": 64, "scheme": "random"}}))
-    flags = ["--config", str(cfg), "--n", "300", "--grid", "5"]
+    flags = ["--config", str(cfg), "--grid", "5"]
     outdir = tmp_path / "pf-repro"
     # A1 cannot pass on a 300-row, 2-epoch net, so a failed check (3) is fine
-    assert main(["repro", "portfolio", "--out", str(outdir)] + flags) in (0, 3)
+    assert main(["repro", "portfolio", "--n", "300", "--out", str(outdir)] + flags) in (0, 3)
     result = json.loads((outdir / "result.json").read_text())
     assert result["config"]["scheme"] == "random"
     assert main(["optimize", "--preset", "portfolio", "--net",
@@ -333,6 +333,14 @@ def test_bad_seed_rejected(tmp_path):
      {"model": {"weight_domain": [0.5, 2]}}],
     ["eu", "--net", "{net}", "--decision", "0.4", "--role", "utility"],
     ["train", "--table", "absent.csv", "--target", "auto"],
+    ["train", "--table", "absent.csv", "--seed", "5"],
+    ["train", "--table", "absent.csv", "--n", "7"],
+    ["train", "--table", "absent.csv", "--grid", "3"],
+    ["optimize", "--net", "{net}", "--n", "3"],
+    ["eu", "--net", "{net}", "--decision", "0.4", "--n", "3"],
+    ["eu", "--net", "{net}", "--decision", "0.4", "--grid", "9"],
+    ["repro", "portfolio", "--structural", "--preset", "portfolio"],
+    ["eu", "--net", "{net}", "--dec", "0.4"],
 ], ids=["simulate-grid0", "repro-grid1", "optimize-grid1", "eu-m1",
         "repro-seed-1", "repro-n0", "repro-train-key", "optimize-eu-m1",
         "optimize-eu-scheme", "simulate-model-key", "simulate-section-n",
@@ -344,7 +352,9 @@ def test_bad_seed_rejected(tmp_path):
         "simulate-likelihood-sd0", "simulate-domain-reversed", "simulate-prior-sd-neg",
         "simulate-model-n-fraction", "repro-structural-return-sd-neg",
         "simulate-domain-degenerate", "optimize-domain-degenerate",
-        "simulate-domain-outside-unit", "eu-role-flag", "train-target-flag"])
+        "simulate-domain-outside-unit", "eu-role-flag", "train-target-flag",
+        "train-seed-flag", "train-n-flag", "train-grid-flag", "optimize-n-flag",
+        "eu-n-flag", "eu-grid-flag", "repro-preset-flag", "eu-abbreviated-flag"])
 def test_too_small_grid_or_m_is_usage_error(tmp_path, capsys, argv):
     net_path = tmp_path / "net.json"
     save_net(DenseNet.initialized((2, 8, 1), seed=0), net_path)
@@ -415,9 +425,11 @@ def _table_with_text_tau(path):
     ("eu", "--net", lambda path: path.write_text("{not json")),
     ("eu", "--net", _edited_net(lambda doc: doc.pop("layer_sizes"))),
     ("eu", "--net", _edited_net(lambda doc: doc["standardization"].update(x_mean=[0, 0, 0]))),
+    ("eu", "--net", _edited_net(lambda doc: doc.pop("standardization"))),
     ("train", "--table", _table_with_text_tau),
     ("train", "--table", lambda path: path.write_bytes(b"\xff\xfe\x00bin")),
-], ids=["net-not-json", "net-no-layer-sizes", "net-long-x-mean", "table-text-tau",
+], ids=["net-not-json", "net-no-layer-sizes", "net-long-x-mean",
+        "net-no-standardization", "table-text-tau",
         "table-not-utf8"])
 def test_malformed_file_is_data_error(tmp_path, capsys, command, flag, write):
     path = tmp_path / "input"

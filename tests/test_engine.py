@@ -21,6 +21,7 @@ from quantmeu.models import RandomSource, cara_utility, portfolio_wealth
 from quantmeu.net import TrainConfig
 from quantmeu.presets import (build_normal_normal, build_portfolio,
                               decision_grid, portfolio_model_spec)
+from quantmeu.tables import TrainingTable
 from quantmeu.errors import (DataError, DomainError, NumericError, ShapeError,
                              SimulationError)
 
@@ -399,6 +400,39 @@ def test_expected_utility_via_utility_net():
     assert est2 == pytest.approx(-0.25, abs=0.03)
     with pytest.raises(ValueError):
         expected_utility(qnet, M=256)
+
+
+# ---------------------------------------------------------------------------
+# trainer input layout: the conditioning columns, then tau
+# ---------------------------------------------------------------------------
+
+def layout_table():
+    # column means far apart, so a swapped or wrong column shows in x_mean
+    rng = np.random.default_rng(0)
+    n = 64
+    return TrainingTable(theta=rng.normal(-3.0, 1.0, n), summary=rng.normal(5.0, 1.0, (n, 1)),
+                         tau=rng.uniform(0.01, 0.99, n), decision=rng.uniform(2.0, 3.0, n),
+                         utility=rng.uniform(-9.0, -8.0, n))
+
+
+def test_posterior_net_input_is_summary_then_tau():
+    t = layout_table()
+    qnet, _ = train_posterior_net(t, TrainConfig(max_epochs=1), hidden=(4,))
+    np.testing.assert_allclose(qnet.net.x_mean, [t.summary[:, 0].mean(), t.tau.mean()])
+    assert qnet.net.y_mean == pytest.approx(t.theta.mean())
+
+
+def test_utility_net_input_is_decision_then_tau():
+    t = layout_table()
+    qnet, _ = train_utility_net(t, TrainConfig(max_epochs=1), hidden=(4,))
+    np.testing.assert_allclose(qnet.net.x_mean, [t.decision.mean(), t.tau.mean()])
+    assert qnet.net.y_mean == pytest.approx(t.utility.mean())
+
+
+def test_utility_net_requires_utility_columns():
+    t = layout_table()
+    with pytest.raises(DataError):
+        train_utility_net(TrainingTable(theta=t.theta, summary=t.summary, tau=t.tau))
 
 
 # ---------------------------------------------------------------------------

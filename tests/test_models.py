@@ -7,8 +7,8 @@ import pytest
 
 from quantmeu import NormalNormalModel, PortfolioProblem, summary_mean
 from quantmeu.errors import DataError, DomainError, NumericError, SimulationError
-from quantmeu.models import (RandomSource, cara_utility, portfolio_wealth,
-                             simulate_pairs)
+from quantmeu.models import (RandomSource, UtilitySpec, cara_utility,
+                             portfolio_wealth, simulate_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +121,11 @@ def test_cara_utility_guards():
 def test_portfolio_problem_domain_check():
     with pytest.raises(DomainError):
         PortfolioProblem(weight_domain=(-0.5, 1.0))
+    for degenerate in ((0.3, 0.3), (0.6, 0.2)):
+        with pytest.raises(DomainError):
+            PortfolioProblem(weight_domain=degenerate)
+    with pytest.raises(DomainError):
+        UtilitySpec(evaluate=portfolio_wealth, decision_domain=(0.5, 0.5))
     p = PortfolioProblem()
     assert p.weight_domain == (0.0, 1.0)
 

@@ -303,3 +303,18 @@ def test_from_document_rejects_shape_mismatch():
     bad["layer_sizes"] = [2, 9, 1]
     with pytest.raises(DataError):
         net_from_document(bad)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc.pop("standardization"),
+    lambda doc: doc["standardization"].pop("y_scale"),
+    lambda doc: doc["standardization"].update(y_scale=0.0),
+    lambda doc: doc["standardization"].update(y_scale=-1.0),
+    lambda doc: doc["standardization"].update(x_scale=[0.0, 1.0]),
+    lambda doc: doc["standardization"].update(x_mean=[math.nan, 0.0]),
+], ids=["no-block", "no-y-scale", "y-scale-0", "y-scale-neg", "x-scale-0", "x-mean-nan"])
+def test_from_document_requires_valid_standardization(edit):
+    doc = net_to_document(toy_net())
+    edit(doc)
+    with pytest.raises(DataError):
+        net_from_document(doc)

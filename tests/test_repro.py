@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from quantmeu.engine import QuantileNet
 from quantmeu.errors import DataError
 from quantmeu.net import load_net
 from quantmeu.presets import PORTFOLIO
@@ -74,10 +73,9 @@ def test_random_scheme_optimum_matches_grid_scheme(portfolio_run):
     # stays where the grid scheme puts it on the preset utility net
     _, outdir = portfolio_run
     net = load_net(outdir / "utility_net.json")
-    qnet = QuantileNet(net=net, role="utility", conditioning_dim=net.input_dim - 1)
     grid_w = json.loads((outdir / "result.json").read_text())["best_decision"]
     for seed in range(5):
         cfg = ExperimentConfig(PORTFOLIO, {"simulate": {"seed": seed},
                                            "eu": {"scheme": "random"}})
-        w = optimize_net(qnet, cfg).best_decision
+        w = optimize_net(net, cfg).best_decision
         assert abs(w - grid_w) <= 0.01, f"seed {seed}: w*={w:.4f}, grid w*={grid_w:.4f}"

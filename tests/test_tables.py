@@ -1,4 +1,4 @@
-"""TrainingTable validation, design matrices, and CSV round trips."""
+"""TrainingTable validation and CSV round trips."""
 
 import numpy as np
 import pytest
@@ -53,29 +53,6 @@ def test_validation_rejects_empty():
     with pytest.raises(DataError):
         TrainingTable(theta=np.zeros(0), summary=np.zeros((0, 1)),
                       tau=np.zeros(0))
-
-
-def test_posterior_design_layout():
-    t = posterior_table(8)
-    X, target, tau = t.posterior_design()
-    assert X.shape == (8, 2)
-    np.testing.assert_array_equal(X[:, 0], t.summary[:, 0])
-    np.testing.assert_array_equal(X[:, 1], t.tau)
-    np.testing.assert_array_equal(target, t.theta)
-
-
-def test_utility_design_layout():
-    t = utility_table(8)
-    X, target, tau = t.utility_design()
-    assert X.shape == (8, 2)
-    np.testing.assert_array_equal(X[:, 0], t.decision)
-    np.testing.assert_array_equal(X[:, 1], t.tau)
-    np.testing.assert_array_equal(target, t.utility)
-
-
-def test_utility_design_requires_utility():
-    with pytest.raises(DataError):
-        posterior_table().utility_design()
 
 
 def test_csv_roundtrip_posterior_exact(tmp_path):
