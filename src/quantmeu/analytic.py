@@ -141,15 +141,16 @@ def prior_to_posterior_survival_check(theta_grid, model: NormalNormalModel, y) -
 
 @dataclass
 class DistributionView:
-    """CDF/quantile pair with declared support bounds.
+    """A distribution given by its cdf and its quantile function.
 
     The quantile must be the generalized inverse of the cdf; operations
-    here assume but do not verify this.
+    here assume but do not verify this. Where a computation needs the
+    range of the variable it reads the extreme quantiles, at 1e-12 and
+    1 - 1e-12.
     """
 
     cdf: Callable
     quantile: Callable
-    support: tuple = (-math.inf, math.inf)
 
     def survival(self, x):
         return 1.0 - self.cdf(x)
@@ -160,8 +161,7 @@ def normal_view(mean: float = 0.0, sd: float = 1.0) -> DistributionView:
         raise DomainError("sd must be positive")
     return DistributionView(
         cdf=lambda x: normal_cdf((np.asarray(x, dtype=np.float64) - mean) / sd),
-        quantile=lambda p: mean + sd * normal_quantile(p),
-        support=(-math.inf, math.inf))
+        quantile=lambda p: mean + sd * normal_quantile(p))
 
 
 def exponential_view(rate: float = 1.0) -> DistributionView:
@@ -169,8 +169,7 @@ def exponential_view(rate: float = 1.0) -> DistributionView:
         raise DomainError("rate must be positive")
     return DistributionView(
         cdf=lambda x: -np.expm1(-rate * np.maximum(np.asarray(x, dtype=np.float64), 0.0)),
-        quantile=lambda p: -np.log1p(-np.asarray(p, dtype=np.float64)) / rate,
-        support=(0.0, math.inf))
+        quantile=lambda p: -np.log1p(-np.asarray(p, dtype=np.float64)) / rate)
 
 
 def uniform_view(a: float = 0.0, b: float = 1.0) -> DistributionView:
@@ -178,8 +177,7 @@ def uniform_view(a: float = 0.0, b: float = 1.0) -> DistributionView:
         raise DomainError("need a < b")
     return DistributionView(
         cdf=lambda x: np.clip((np.asarray(x, dtype=np.float64) - a) / (b - a), 0.0, 1.0),
-        quantile=lambda p: a + (b - a) * np.asarray(p, dtype=np.float64),
-        support=(a, b))
+        quantile=lambda p: a + (b - a) * np.asarray(p, dtype=np.float64))
 
 
 def lognormal_view(mu: float = 0.0, sigma: float = 1.0) -> DistributionView:
@@ -194,16 +192,14 @@ def lognormal_view(mu: float = 0.0, sigma: float = 1.0) -> DistributionView:
 
     return DistributionView(
         cdf=cdf,
-        quantile=lambda p: np.exp(mu + sigma * normal_quantile(p)),
-        support=(0.0, math.inf))
+        quantile=lambda p: np.exp(mu + sigma * normal_quantile(p)))
 
 
 def _survival_integral(dist: DistributionView, g: Callable, M: int) -> float:
     """Midpoint rule for int g(S(t)) dt over [0, q(1-1e-8)].
 
     Needs an effectively nonnegative variable, probed through the extreme
-    lower quantile rather than the declared support so a normal located
-    far above zero still qualifies.
+    lower quantile, so a normal located far above zero still qualifies.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
@@ -241,8 +237,9 @@ def distorted_expectation(dist: DistributionView, g: Callable,
 def yaari_g(u: Callable, dist: DistributionView) -> Callable:
     """Distortion carrying S_X to S_{u(X)}: g(p) = S_X(u_inv(S_X_inv(p))).
 
-    The utility u must be strictly increasing on the support; its inverse
-    is computed by bisection. Returned g maps 0 to 0 and 1 to 1 exactly.
+    The utility u must be strictly increasing on [q(1e-12), q(1 - 1e-12)];
+    its inverse is computed by bisection on that bracket and clamped to
+    its ends. Returned g maps 0 to 0 and 1 to 1 exactly.
     """
     lo_q = float(np.asarray(dist.quantile(1e-12)))
     hi_q = float(np.asarray(dist.quantile(1.0 - 1e-12)))
@@ -252,30 +249,12 @@ def yaari_g(u: Callable, dist: DistributionView) -> Callable:
         raise DataError("utility must be strictly increasing on the support")
 
     def u_inverse(t: float) -> float:
+        # past the bracket the survival at its nearer end is within 1e-12
+        # of the true 1 or 0
         a, b = lo_q, hi_q
-        fa, fb = float(u(a)), float(u(b))
-        lo_s, hi_s = dist.support
-        k = 0
-        while fa > t and k < 200:
-            if math.isfinite(lo_s) and a <= lo_s:
-                break
-            a = a - max(1.0, abs(a))
-            if math.isfinite(lo_s):
-                a = max(a, lo_s)
-            fa = float(u(a))
-            k += 1
-        k = 0
-        while fb < t and k < 200:
-            if math.isfinite(hi_s) and b >= hi_s:
-                break
-            b = b + max(1.0, abs(b))
-            if math.isfinite(hi_s):
-                b = min(b, hi_s)
-            fb = float(u(b))
-            k += 1
-        if fa > t:
+        if float(u(a)) > t:
             return a
-        if fb < t:
+        if float(u(b)) < t:
             return b
         for _ in range(200):
             mid = 0.5 * (a + b)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -57,10 +56,6 @@ class QuantileNet:
         X[:, -1] = taus
         return self.net.predict(X)
 
-    def quantile_curve(self, cond, taus) -> np.ndarray:
-        """Monotone-rearranged quantile values over an already sorted tau grid."""
-        return np.sort(self.evaluate(cond, taus))
-
 
 def _midpoint_grid(M: int) -> np.ndarray:
     return (np.arange(M) + 0.5) / M
@@ -73,7 +68,8 @@ def build_training_table(model: ModelSpec, utility: Optional[UtilitySpec] = None
     """Simulate N rows of (theta, summary[, decision, utility], tau).
 
     Rows are simulated in blocks of at most _BLOCK_UNIFORMS uniforms; then
-    each row gets an independent tau ~ U(0,1). With a utility present the
+    the utility is evaluated once on the whole decision and theta columns,
+    and each row gets an independent tau ~ U(0,1). With a utility present the
     decision grid is cycled so every decision receives an equal share of
     rows. When sorted_pairing is on, rows sharing a conditioning value
     (the decision when utility is present, otherwise the summary row) have
@@ -95,7 +91,6 @@ def build_training_table(model: ModelSpec, utility: Optional[UtilitySpec] = None
         if np.any(grid < lo) or np.any(grid > hi):
             raise DomainError("decision grid leaves the declared domain")
         decision = grid[np.arange(N) % grid.size]
-        utility_col = np.empty(N)
 
     theta = np.empty(N)
     summary = None
@@ -113,18 +108,16 @@ def build_training_table(model: ModelSpec, utility: Optional[UtilitySpec] = None
         if summary is None:
             summary = np.empty((N, s.size // n))
         summary[rows] = s.reshape(n, -1)
-        if utility is None:
-            continue
+    if utility is not None:
         try:
-            u = np.asarray(utility.evaluate(decision[rows], theta[rows]), dtype=np.float64)
+            utility_col = np.asarray(utility.evaluate(decision, theta), dtype=np.float64)
         except Exception as exc:
-            raise SimulationError(f"utility evaluation failed: {exc}", index=start) from exc
-        if u.shape != (n,):
-            raise SimulationError(f"utility returned shape {u.shape}", index=start)
-        if not np.all(np.isfinite(u)):
+            raise SimulationError(f"utility evaluation failed: {exc}", index=0) from exc
+        if utility_col.shape != (N,):
+            raise SimulationError(f"utility returned shape {utility_col.shape}", index=0)
+        if not np.all(np.isfinite(utility_col)):
             raise SimulationError("utility is non-finite",
-                                  index=start + int(np.argmin(np.isfinite(u))))
-        utility_col[rows] = u
+                                  index=int(np.argmin(np.isfinite(utility_col))))
     tau = rng.uniform(N)
 
     if sorted_pairing:
@@ -181,43 +174,34 @@ def posterior_sample(H: QuantileNet, y_obs, M: int, rng: RandomSource) -> np.nda
 
 
 def expected_utility(quantile_source, d: Optional[float] = None,
-                     y_obs=None, M: int = 1024, scheme: str = "uniform_grid",
-                     rng: Optional[RandomSource] = None):
+                     y_obs=None, M: int = 1024, rng: Optional[RandomSource] = None):
     """Estimate E(U) as the integral of the quantile function over (0,1).
 
-    `quantile_source` is any callable mapping a sorted tau array to
-    quantile values, or a QuantileNet, read as its monotone quantile curve
-    at d (utility role) or at y_obs (posterior role). The uniform_grid scheme
-    averages the M midpoints (i-1/2)/M and is deterministic (SE 0); the
-    random scheme draws tau i.i.d. and reports the MC standard error.
+    The tau set is the M midpoints (i-1/2)/M, and the standard error 0,
+    or with `rng` the M sorted draws rng.uniform(M) and their Monte Carlo
+    standard error. `quantile_source` is a callable mapping the sorted tau
+    array to quantile values, or a QuantileNet, read as its monotone
+    rearrangement (sorted values) at whichever one of `d` and `y_obs` is
+    given.
     """
     if M < 2:
         raise ValueError("M must be >= 2")
-    if scheme == "uniform_grid":
-        taus = _midpoint_grid(M)
-    elif scheme == "random":
-        if rng is None:
-            raise ValueError("the random scheme needs a RandomSource")
-        taus = rng.uniform(M)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-
+    taus = _midpoint_grid(M) if rng is None else np.sort(rng.uniform(M))
     if isinstance(quantile_source, QuantileNet):
-        cond, name = (d, "d") if quantile_source.role == "utility" else (y_obs, "y_obs")
-        if cond is None:
-            raise ValueError(f"{name} is required for a {quantile_source.role} net")
-        quantile_source = partial(quantile_source.quantile_curve, cond)
-    values = np.asarray(quantile_source(np.sort(taus)), dtype=np.float64).reshape(-1)
+        if (d is None) == (y_obs is None):
+            raise ValueError("give exactly one of d and y_obs for a QuantileNet")
+        values = np.sort(quantile_source.evaluate(y_obs if d is None else d, taus))
+    else:
+        values = np.asarray(quantile_source(taus), dtype=np.float64).reshape(-1)
     if values.shape[0] != M:
         raise ShapeError("quantile source returned a wrong-length vector")
     if not np.all(np.isfinite(values)):
         raise NumericError("quantile source produced non-finite values")
 
     estimate = float(values.mean())
-    if scheme == "uniform_grid":
+    if rng is None:
         return estimate, 0.0
-    se = float(values.std(ddof=1) / math.sqrt(M))
-    return estimate, se
+    return estimate, float(values.std(ddof=1) / math.sqrt(M))
 
 
 @dataclass
@@ -293,25 +277,24 @@ def optimize_decision(eu_evaluator: Callable, domain, grid_size: int = 101,
             trace.append((float(d), est))
             return est
 
-        if b > a:
-            c = b - _INVPHI * (b - a)
-            e = a + _INVPHI * (b - a)
-            fc, fe = f(c), f(e)
-            tol = max(1e-9, 1e-15 * max(abs(a), abs(b), 1.0))
-            while (b - a) > tol:
-                if fc > fe:
-                    b, e, fe = e, c, fc
-                    c = b - _INVPHI * (b - a)
-                    fc = f(c)
-                else:
-                    a, c, fc = c, e, fe
-                    e = a + _INVPHI * (b - a)
-                    fe = f(e)
-            cand_d, cand_eu = (c, fc) if fc >= fe else (e, fe)
-            if cand_eu > best_eu:
-                curve.append((float(cand_d), cand_eu, se_at[cand_d]))
-                curve.sort(key=lambda row: row[0])
-                best_d, best_eu = float(cand_d), cand_eu
+        c = b - _INVPHI * (b - a)
+        e = a + _INVPHI * (b - a)
+        fc, fe = f(c), f(e)
+        tol = max(1e-9, 1e-15 * max(abs(a), abs(b), 1.0))
+        while (b - a) > tol:
+            if fc > fe:
+                b, e, fe = e, c, fc
+                c = b - _INVPHI * (b - a)
+                fc = f(c)
+            else:
+                a, c, fc = c, e, fe
+                e = a + _INVPHI * (b - a)
+                fe = f(e)
+        cand_d, cand_eu = (c, fc) if fc >= fe else (e, fe)
+        if cand_eu > best_eu:
+            curve.append((float(cand_d), cand_eu, se_at[cand_d]))
+            curve.sort(key=lambda row: row[0])
+            best_d, best_eu = float(cand_d), cand_eu
 
     cfg = dict(config or {})
     cfg.setdefault("domain", [lo, hi])

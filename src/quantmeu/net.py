@@ -34,8 +34,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
+        if isinstance(self.learning_rate, bool) or not self.learning_rate > 0:
+            raise ValueError("learning_rate must be a positive number")
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
             raise ValueError("batch_size, max_epochs and patience must be >= 1")
         if not 0.0 < self.validation_fraction < 1.0:

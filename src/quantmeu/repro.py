@@ -89,6 +89,8 @@ class ExperimentConfig:
                 raise UsageError(str(exc)) from exc
         doc = _merge(base, overrides)
         self.experiment = preset or doc.get("experiment", "custom")
+        if "data_seed" in doc:
+            doc["data_seed"] = _checked_int(doc["data_seed"], "data_seed", 0, 2 ** 64 - 1)
         self.model = _section(doc, "model")
         if "n" in self.model:
             self.model["n"] = _checked_int(self.model["n"], "model.n", 1)
@@ -170,7 +172,7 @@ def eu_evaluator(net: DenseNet, cfg: ExperimentConfig):
 
     def evaluate(x):
         rng = RandomSource(seed=seed, stream=7) if scheme == "random" else None
-        return expected_utility(qnet, d=x, M=M, scheme=scheme, rng=rng)
+        return expected_utility(qnet, d=x, M=M, rng=rng)
 
     return evaluate
 

@@ -196,6 +196,13 @@ def test_yaari_g_closed_form_sqrt_exponential():
     assert g(1.0) == 1.0
 
 
+def test_yaari_g_past_the_bracket():
+    # u_inv(6) = 36 lies beyond q(1 - 1e-12) = 27.6 of exp(1), where u_inv is
+    # clamped; the survival there is within 1e-12 of the true exp(-36)
+    g = yaari_g(math.sqrt, exponential_view(1.0))
+    assert g(math.exp(-6.0)) == pytest.approx(math.exp(-36.0), rel=0, abs=1e-12)
+
+
 def test_yaari_g_rejects_nonincreasing_utility():
     with pytest.raises(DataError):
         yaari_g(lambda x: -x, exponential_view(1.0))

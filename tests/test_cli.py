@@ -341,6 +341,11 @@ def test_bad_seed_rejected(tmp_path):
     ["eu", "--net", "{net}", "--decision", "0.4", "--grid", "9"],
     ["repro", "portfolio", "--structural", "--preset", "portfolio"],
     ["eu", "--net", "{net}", "--dec", "0.4"],
+    ["repro", "normal-normal", "--structural", "--config", {"data_seed": 424242.7}],
+    ["repro", "normal-normal", "--structural", "--config", {"data_seed": True}],
+    ["repro", "normal-normal", "--structural", "--config", {"data_seed": "424242"}],
+    ["optimize", "--net", "{net}", "--grid", "3", "--config",
+     {"train": {"learning_rate": True}}],
 ], ids=["simulate-grid0", "repro-grid1", "optimize-grid1", "eu-m1",
         "repro-seed-1", "repro-n0", "repro-train-key", "optimize-eu-m1",
         "optimize-eu-scheme", "simulate-model-key", "simulate-section-n",
@@ -354,7 +359,9 @@ def test_bad_seed_rejected(tmp_path):
         "simulate-domain-degenerate", "optimize-domain-degenerate",
         "simulate-domain-outside-unit", "eu-role-flag", "train-target-flag",
         "train-seed-flag", "train-n-flag", "train-grid-flag", "optimize-n-flag",
-        "eu-n-flag", "eu-grid-flag", "repro-preset-flag", "eu-abbreviated-flag"])
+        "eu-n-flag", "eu-grid-flag", "repro-preset-flag", "eu-abbreviated-flag",
+        "repro-data-seed-fraction", "repro-data-seed-bool", "repro-data-seed-str",
+        "optimize-learning-rate-bool"])
 def test_too_small_grid_or_m_is_usage_error(tmp_path, capsys, argv):
     net_path = tmp_path / "net.json"
     save_net(DenseNet.initialized((2, 8, 1), seed=0), net_path)

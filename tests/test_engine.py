@@ -121,6 +121,39 @@ def test_table_failing_utility_reports_row():
     assert exc.value.index == 0
 
 
+def test_table_wrong_utility_shape_is_reported():
+    class ScalarUtility:
+        decision_domain = (0.0, 1.0)
+
+        @staticmethod
+        def evaluate(d, theta):
+            return float(np.sum(d * theta))
+
+    with pytest.raises(SimulationError, match="utility returned shape"):
+        build_training_table(identity_model(), utility=ScalarUtility(),
+                             decisions=[0.5], N=4, rng=RandomSource(0))
+
+
+def test_table_evaluates_utility_once():
+    # the one-draw model puts the table's rows in two blocks; the utility
+    # still sees the whole decision and theta columns in one call
+    N = _BLOCK_UNIFORMS + 7
+    calls = []
+
+    class CountingUtility:
+        decision_domain = (0.0, 1.0)
+
+        @staticmethod
+        def evaluate(d, theta):
+            calls.append(d.shape)
+            return d * theta
+
+    t = build_training_table(identity_model(), utility=CountingUtility(),
+                             decisions=[0.25, 0.75], N=N, rng=RandomSource(0))
+    assert calls == [(N,)]
+    np.testing.assert_array_equal(t.utility, t.decision * t.theta)
+
+
 def test_table_error_rows_count_across_blocks():
     # a failure in the second block is reported at its row of the table
     target = _BLOCK_UNIFORMS + 7
@@ -287,7 +320,7 @@ def test_quantile_net_evaluate_and_curve():
     taus = np.array([0.9, 0.1, 0.5])
     vals = q.evaluate([0.3], taus)
     assert vals.shape == (3,)
-    curve = q.quantile_curve([0.3], taus)
+    curve = np.sort(q.evaluate([0.3], taus))
     assert np.all(np.diff(curve) >= 0)
     np.testing.assert_array_equal(np.sort(vals), curve)
 
@@ -326,7 +359,7 @@ def test_posterior_sample_modes(identity_posterior):
     d1 = posterior_sample(qnet, 0.5, M=32, rng=RandomSource(0))
     d2 = posterior_sample(qnet, 0.5, M=32, rng=RandomSource(0))
     np.testing.assert_array_equal(d1, d2)
-    sorted_draws = qnet.quantile_curve(0.5, np.linspace(0.4, 0.6, 9))
+    sorted_draws = np.sort(qnet.evaluate(0.5, np.linspace(0.4, 0.6, 9)))
     assert np.all(np.diff(sorted_draws) >= 0)
 
 
@@ -356,14 +389,20 @@ def test_expected_utility_callable_equals_sorted_mean():
 def test_expected_utility_random_scheme():
     z = np.linspace(-1, 1, 1000)
     src = lambda t: np.quantile(z, t, method="inverted_cdf")
-    est, se = expected_utility(src, M=4096, scheme="random",
-                               rng=RandomSource(7))
+    est, se = expected_utility(src, M=4096, rng=RandomSource(7))
     assert se > 0.0
     assert abs(est - 0.0) < 5 * se + 1e-3
+
+
+def test_expected_utility_net_reads_exactly_one_condition():
+    q = QuantileNet(DenseNet.initialized((2, 8, 1), seed=3), role="posterior",
+                    conditioning_dim=1)
     with pytest.raises(ValueError):
-        expected_utility(src, M=16, scheme="random")
+        expected_utility(q, d=0.2, y_obs=0.2, M=16)
     with pytest.raises(ValueError):
-        expected_utility(src, M=16, scheme="sobol")
+        expected_utility(q, M=16)
+    for x in (-0.7, 0.2, 1.5):
+        assert expected_utility(q, y_obs=x, M=64) == expected_utility(q, d=x, M=64)
 
 
 def test_expected_utility_guards():
