@@ -110,12 +110,6 @@ class DenseNet:
         return list(_kernels.layer_views(self.params, self._sizes, self._w_offs,
                                          self._b_offs))
 
-    def weights(self, layer: int) -> np.ndarray:
-        return self.layers()[layer][0]
-
-    def biases(self, layer: int) -> np.ndarray:
-        return self.layers()[layer][1]
-
     def predict(self, X) -> np.ndarray:
         """Batch evaluation in the original data scale."""
         X = np.ascontiguousarray(np.atleast_2d(X), dtype=np.float64)
@@ -125,7 +119,7 @@ class DenseNet:
             raise ValueError("inputs must be finite")
         Xs = (X - self.x_mean) / self.x_scale
         raw = _kernels.forward_batch(self.params, self._sizes, self._w_offs,
-                                     self._b_offs, np.ascontiguousarray(Xs))
+                                     self._b_offs, Xs)
         return raw * self.y_scale + self.y_mean
 
 
@@ -192,7 +186,7 @@ def train(net: DenseNet, X, y, tau, config: TrainConfig = None):
     else:
         y_scale = y_std
 
-    Xs = np.ascontiguousarray((X - x_mean) / x_scale)
+    Xs = (X - x_mean) / x_scale
     ys = (y - y_mean) / y_scale
 
     n = X.shape[0]
@@ -204,9 +198,9 @@ def train(net: DenseNet, X, y, tau, config: TrainConfig = None):
         val_idx, tr_idx = perm[:n_val], perm[n_val:]
     else:
         val_idx, tr_idx = perm, perm
-    Xv = np.ascontiguousarray(Xs[val_idx])
+    Xv = Xs[val_idx]
     yv, tv = ys[val_idx], tau[val_idx]
-    Xt = np.ascontiguousarray(Xs[tr_idx])
+    Xt = Xs[tr_idx]
     yt, tt = ys[tr_idx], tau[tr_idx]
     n_train = Xt.shape[0]
 
@@ -226,9 +220,8 @@ def train(net: DenseNet, X, y, tau, config: TrainConfig = None):
         loss_sum = 0.0
         for start in range(0, n_train, config.batch_size):
             idx = order[start:start + config.batch_size]
-            Xb = np.ascontiguousarray(Xt[idx])
             loss, grads = _kernels.loss_grad_batch(params, sizes, w_offs, b_offs,
-                                                   Xb, yt[idx], tt[idx])
+                                                   Xt[idx], yt[idx], tt[idx])
             step += 1
             # Adam's beta1, beta2 and epsilon are fixed at the usual values
             _adam_update_inplace(params, m, v, step, grads, config.learning_rate,
@@ -271,8 +264,6 @@ def grad_check(net: DenseNet, X, y, tau) -> GradCheckResult:
     tolerance; the worst parameter index identifies the offender.
     """
     eps = 1e-6
-    if net.params.size == 0:
-        return GradCheckResult(0.0, -1)
     X, y, tau = _check_batch(net, X, y, tau)
     _, grads = _kernels.loss_grad_batch(net.params, net._sizes, net._w_offs,
                                         net._b_offs, X, y, tau)

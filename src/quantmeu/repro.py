@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Optional
@@ -33,7 +34,32 @@ from .special import normal_cdf
 from .svgplot import Series, VLine, line_plot
 from .tables import TrainingTable, write_csv, write_json
 
-_EU_SCHEMES = ("uniform_grid", "random")
+_U64 = 2 ** 64 - 1
+_INT, _NUMBER = ("int", None, None), ("number", None, None)
+
+# Every key a stage reads: section -> key -> (kind, low, high); a choice's low holds
+# its options. The builders, model classes and TrainConfig own model and train ranges.
+_FIELDS = {
+    "experiment": ("choice", (presets.NORMAL_NORMAL, presets.PORTFOLIO), None),
+    "data_seed": ("int", 0, _U64),
+    "model": {"prior_mean": _NUMBER, "prior_sd": _NUMBER, "likelihood_sd": _NUMBER,
+              "n": ("int", 1, None), "true_theta": _NUMBER, "risk_free": _NUMBER,
+              "return_mean": _NUMBER, "return_sd": _NUMBER, "risk_aversion": _NUMBER,
+              "weight_domain": ("pair", None, None)},
+    "simulate": {"seed": ("int", 0, _U64), "N": ("int", 1, None),
+                 "grid_size": ("int", 2, None), "sorted_pairing": ("bool", None, None)},
+    "optimize": {"grid_size": ("int", 2, None), "refine": ("bool", None, None)},
+    "eu": {"M": ("int", 2, None), "scheme": ("choice", ("uniform_grid", "random"), None)},
+    # the sd check needs two draws
+    "posterior": {"M": ("int", 2, None), "sample_seed": ("int", 0, _U64)},
+    "train": {"learning_rate": _NUMBER, "batch_size": _INT, "max_epochs": _INT,
+              "patience": _INT, "validation_fraction": _NUMBER, "seed": _INT},
+}
+
+# Merged under the preset, so every section is present.
+_DEFAULTS = {"model": {}, "simulate": {"seed": 0, "grid_size": 101, "sorted_pairing": False},
+             "optimize": {"grid_size": 101, "refine": True},
+             "eu": {"M": 1024, "scheme": "uniform_grid"}, "posterior": {}, "train": {}}
 
 
 def _merge(base: dict, override: Optional[dict]) -> dict:
@@ -46,38 +72,55 @@ def _merge(base: dict, override: Optional[dict]) -> dict:
     return out
 
 
-def _checked_int(value, name: str, low: int, high: Optional[int] = None) -> int:
-    """An int or an integral float such as 1e5; bools and strings are refused."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise UsageError(f"{name} must be an integer, got {value!r}")
-    if value < low or (high is not None and value > high):
-        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
-        raise UsageError(f"{name} must be {bound}, got {value}")
-    return value
+def _is_number(value) -> bool:
+    """A finite int or float; a bool is refused."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
-def _checked_bool(value, name: str) -> bool:
-    if not isinstance(value, bool):
-        raise UsageError(f"{name} must be true or false, got {value!r}")
-    return value
+# kind -> (test of a value, what the error says the value must be)
+_KINDS = {"int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+          "number": (_is_number, "a number"),
+          "bool": (lambda v: isinstance(v, bool), "true or false"),
+          "pair": (lambda v: isinstance(v, (list, tuple)) and len(v) == 2
+                   and all(map(_is_number, v)), "a pair of numbers [low, high]")}
 
 
-def _section(doc: dict, name: str) -> dict:
-    section = doc.get(name, {})
-    if not isinstance(section, dict):
-        raise UsageError(f"config section {name!r} must be an object, got {section!r}")
-    return dict(section)
+def _checked(doc: dict, fields: dict, prefix: str = "") -> dict:
+    """A copy of `doc` in which `fields` declares every key and each value is
+    of its kind and in [low, high]; an integral float such as 1e5 given for
+    an int becomes an int. Anything else is a `UsageError`."""
+    out = {}
+    for key, value in doc.items():
+        name, spec = prefix + key, fields.get(key)
+        if spec is None:
+            raise UsageError(f"unknown config key {name!r}")
+        if isinstance(spec, dict):
+            if not isinstance(value, dict):
+                raise UsageError(f"config section {name!r} must be an object, got {value!r}")
+            out[key] = _checked(value, spec, name + ".")
+            continue
+        kind, low, high = spec
+        if kind == "int" and isinstance(value, float) and value.is_integer():
+            value = int(value)
+        if kind == "choice":
+            if value not in low:
+                raise UsageError(f"{name} must be one of {', '.join(low)}, got {value!r}")
+        elif not _KINDS[kind][0](value):
+            raise UsageError(f"{name} must be {_KINDS[kind][1]}, got {value!r}")
+        elif (low is not None and value < low) or (high is not None and value > high):
+            bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+            raise UsageError(f"{name} must be {bound}, got {value}")
+        out[key] = value
+    return out
 
 
 class ExperimentConfig:
     """A preset merged with overrides, every field a stage reads checked once.
 
     The preset, when given, names the experiment; otherwise the merged
-    document's `experiment` does. `doc` is the merged document
-    with the checked `simulate`, `eu`, `optimize` and `posterior` sections
-    in place, as the presets' builders read it. Bad values raise `UsageError`.
+    document's `experiment` does. `doc` is the checked document, as the
+    presets' builders read it. Bad values raise `UsageError`.
     """
 
     def __init__(self, preset: Optional[str] = None, overrides: Optional[dict] = None):
@@ -87,58 +130,24 @@ class ExperimentConfig:
                 base = presets.get_preset(preset)
             except DataError as exc:
                 raise UsageError(str(exc)) from exc
-        doc = _merge(base, overrides)
+        doc = _checked(_merge(_merge(_DEFAULTS, base), overrides), _FIELDS)
         self.experiment = preset or doc.get("experiment", "custom")
-        if "data_seed" in doc:
-            doc["data_seed"] = _checked_int(doc["data_seed"], "data_seed", 0, 2 ** 64 - 1)
-        self.model = _section(doc, "model")
-        if "n" in self.model:
-            self.model["n"] = _checked_int(self.model["n"], "model.n", 1)
-
-        sim = _section(doc, "simulate")
-        sim["seed"] = _checked_int(sim.get("seed", 0), "simulate.seed", 0, 2 ** 64 - 1)
-        if "N" in sim:
-            sim["N"] = _checked_int(sim["N"], "simulate.N", 1)
-        sim["grid_size"] = _checked_int(sim.get("grid_size", 101), "simulate.grid_size", 2)
-        sim["sorted_pairing"] = _checked_bool(sim.get("sorted_pairing", False),
-                                             "simulate.sorted_pairing")
-        opt = _section(doc, "optimize")
-        opt["grid_size"] = _checked_int(opt.get("grid_size", 101), "optimize.grid_size", 2)
-        opt["refine"] = _checked_bool(opt.get("refine", True), "optimize.refine")
-        eu = _section(doc, "eu")
-        eu["M"] = _checked_int(eu.get("M", 1024), "eu.M", 2)
-        eu["scheme"] = eu.get("scheme", "uniform_grid")
-        if eu["scheme"] not in _EU_SCHEMES:
-            raise UsageError(f"eu.scheme must be one of {', '.join(_EU_SCHEMES)}, "
-                             f"got {eu['scheme']!r}")
-        train = _section(doc, "train")
-        for key in ("batch_size", "max_epochs", "patience", "seed"):
-            if key in train:
-                low, high = (0, 2 ** 64 - 1) if key == "seed" else (1, None)
-                train[key] = _checked_int(train[key], f"train.{key}", low, high)
         try:
-            self.train = TrainConfig(**train)
-        except (TypeError, ValueError) as exc:
+            self.train = TrainConfig(**doc["train"])
+        except ValueError as exc:
             raise UsageError(f"bad train configuration: {exc}") from exc
-        post = _section(doc, "posterior")
-        if "M" in post:  # the sd check needs two draws
-            post["M"] = _checked_int(post["M"], "posterior.M", 2)
-        if "sample_seed" in post:
-            post["sample_seed"] = _checked_int(post["sample_seed"], "posterior.sample_seed",
-                                               0, 2 ** 64 - 1)
-        doc.update(model=self.model, simulate=sim, optimize=opt, eu=eu, posterior=post)
-        self.doc, self.simulate, self.optimize, self.eu = doc, sim, opt, eu
-        self.posterior = post
+        self.doc, self.model, self.simulate = doc, doc["model"], doc["simulate"]
+        self.optimize, self.eu, self.posterior = doc["optimize"], doc["eu"], doc["posterior"]
 
     def build(self, builder):
-        """`builder(doc)`; a missing key, or a value that the builder cannot
-        convert or that it or the model refuses, is a `UsageError`."""
+        """`builder(doc)`; a missing key, or a value that the builder or the
+        model refuses, is a `UsageError`."""
         try:
             return builder(self.doc)
         except KeyError as exc:
             raise UsageError(f"the {self.experiment} config lacks key "
                              f"{exc.args[0]!r}") from None
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise UsageError(f"bad {self.experiment} config value: {exc}") from None
 
 

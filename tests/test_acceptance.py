@@ -205,8 +205,8 @@ def _kink_margins(net, X, y):
     a = X
     min_z = np.inf
     n_layers = len(net.layer_sizes) - 1
-    for l in range(n_layers):
-        z = a @ net.weights(l).T + net.biases(l)
+    for l, (w, b) in enumerate(net.layers()):
+        z = a @ w.T + b
         if l < n_layers - 1:
             min_z = min(min_z, float(np.min(np.abs(z))))
             a = np.maximum(z, 0.0)

@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, and artifact formats at small scale."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -346,6 +347,18 @@ def test_bad_seed_rejected(tmp_path):
     ["repro", "normal-normal", "--structural", "--config", {"data_seed": "424242"}],
     ["optimize", "--net", "{net}", "--grid", "3", "--config",
      {"train": {"learning_rate": True}}],
+    ["simulate", "--preset", "portfolio", "--config", {"simulate": {"n": 50}}],
+    ["optimize", "--net", "{net}", "--grid", "3", "--config", {"eu": {"m": 50}}],
+    ["simulate", "--preset", "portfolio", "--n", "5", "--config",
+     {"model": {"return_sdd": 0.2}}],
+    ["simulate", "--preset", "portfolio", "--n", "5", "--config",
+     {"simulation": {"N": 5}}],
+    ["repro", "normal-normal", "--structural", "--config", {"model": {"true_theta": True}}],
+    ["repro", "normal-normal", "--structural", "--config", {"model": {"prior_mean": "1.5"}}],
+    ["simulate", "--preset", "portfolio", "--n", "5", "--config",
+     {"model": {"weight_domain": [False, "1"]}}],
+    ["simulate", "--preset", "portfolio", "--n", "5", "--config",
+     {"model": {"risk_free": math.nan}}],
 ], ids=["simulate-grid0", "repro-grid1", "optimize-grid1", "eu-m1",
         "repro-seed-1", "repro-n0", "repro-train-key", "optimize-eu-m1",
         "optimize-eu-scheme", "simulate-model-key", "simulate-section-n",
@@ -361,7 +374,9 @@ def test_bad_seed_rejected(tmp_path):
         "train-seed-flag", "train-n-flag", "train-grid-flag", "optimize-n-flag",
         "eu-n-flag", "eu-grid-flag", "repro-preset-flag", "eu-abbreviated-flag",
         "repro-data-seed-fraction", "repro-data-seed-bool", "repro-data-seed-str",
-        "optimize-learning-rate-bool"])
+        "optimize-learning-rate-bool", "simulate-key-typo-n", "optimize-key-typo-eu-m",
+        "simulate-model-key-typo", "simulate-section-typo", "repro-true-theta-bool",
+        "repro-prior-mean-str", "simulate-domain-bool-str", "simulate-risk-free-nan"])
 def test_too_small_grid_or_m_is_usage_error(tmp_path, capsys, argv):
     net_path = tmp_path / "net.json"
     save_net(DenseNet.initialized((2, 8, 1), seed=0), net_path)
@@ -387,8 +402,13 @@ def test_too_small_grid_or_m_is_usage_error(tmp_path, capsys, argv):
     ("simulate", "seed", "3", "an integer"),
     ("train", "batch_size", 2.5, "an integer"),
     ("train", "max_epochs", True, "an integer"),
+    ("model", "true_theta", True, "a number"),
+    ("model", "prior_mean", "1.5", "a number"),
+    ("model", "likelihood_sd", math.inf, "a number"),
+    ("model", "weight_domain", [False, "1"], "a pair of numbers"),
 ], ids=["sorted-pairing-str", "refine-str", "n-fraction", "eu-m-bool", "seed-str",
-        "train-batch-fraction", "train-epochs-bool"])
+        "train-batch-fraction", "train-epochs-bool", "model-theta-bool", "model-mean-str",
+        "model-sd-inf", "model-domain-bool-str"])
 def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, section, key, value,
                                                     wanted):
     config_path = tmp_path / "config.json"

@@ -36,11 +36,10 @@ def test_initialized_shapes_and_ranges():
     net = toy_net((3, 16, 8, 1), seed=4)
     assert net.input_dim == 3
     assert net.params.size == (3 * 16 + 16) + (16 * 8 + 8) + (8 * 1 + 1)
-    for l, fan_in in enumerate((3, 16, 8)):
+    for (w, b), fan_in in zip(net.layers(), (3, 16, 8)):
         bound = math.sqrt(6.0 / fan_in)
-        w = net.weights(l)
         assert np.all(np.abs(w) <= bound)
-        assert np.all(net.biases(l) == 0.0)
+        assert np.all(b == 0.0)
 
 
 def test_initialized_is_seeded():

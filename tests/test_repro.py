@@ -2,14 +2,17 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from quantmeu.errors import DataError
 from quantmeu.net import load_net
-from quantmeu.presets import PORTFOLIO
-from quantmeu.repro import ExperimentConfig, ReproReport, ks_distance, optimize_net
+from quantmeu.presets import PORTFOLIO, build_portfolio
+from quantmeu.repro import (_FIELDS, ExperimentConfig, ReproReport, ks_distance,
+                            optimize_net)
 from quantmeu.special import normal_cdf
 
 
@@ -79,3 +82,21 @@ def test_random_scheme_optimum_matches_grid_scheme(portfolio_run):
                                            "eu": {"scheme": "random"}})
         w = optimize_net(net, cfg).best_decision
         assert abs(w - grid_w) <= 0.01, f"seed {seed}: w*={w:.4f}, grid w*={grid_w:.4f}"
+
+
+def test_json_int_model_value_and_tuple_domain_accepted():
+    cfg = ExperimentConfig(PORTFOLIO, {"model": {"risk_free": 0,
+                                                 "weight_domain": (0.1, 0.9)}})
+    problem = cfg.build(build_portfolio)
+    assert problem.risk_free == 0.0
+    assert problem.weight_domain == (0.1, 0.9)
+
+
+def test_readme_config_table_lists_every_field():
+    # one README row per key that ExperimentConfig accepts, and no other
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    documented = re.findall(r"^\| `([\w.]+)` \|", readme, flags=re.MULTILINE)
+    declared = []
+    for name, spec in _FIELDS.items():
+        declared += [f"{name}.{key}" for key in spec] if isinstance(spec, dict) else [name]
+    assert sorted(documented) == sorted(declared)
