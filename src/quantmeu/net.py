@@ -34,14 +34,17 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.learning_rate, bool) or not self.learning_rate > 0:
-            raise ValueError("learning_rate must be a positive number")
-        if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
-            raise ValueError("batch_size, max_epochs and patience must be >= 1")
-        if not 0.0 < self.validation_fraction < 1.0:
-            raise ValueError("validation_fraction must be in (0,1)")
-        if not 0 <= int(self.seed) < 2 ** 64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+        # key -> (in range, the range); errors name keys as the config does
+        ranges = {"learning_rate": (not isinstance(self.learning_rate, bool)
+                                    and self.learning_rate > 0, "> 0"),
+                  "batch_size": (self.batch_size >= 1, ">= 1"),
+                  "max_epochs": (self.max_epochs >= 1, ">= 1"),
+                  "patience": (self.patience >= 1, ">= 1"),
+                  "validation_fraction": (0.0 < self.validation_fraction < 1.0, "in (0, 1)"),
+                  "seed": (0 <= int(self.seed) < 2 ** 64, "in [0, 2**64)")}
+        for key, (ok, bound) in ranges.items():
+            if not ok:
+                raise ValueError(f"train.{key} must be {bound}, got {getattr(self, key)!r}")
 
 
 @dataclass

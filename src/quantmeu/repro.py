@@ -135,7 +135,7 @@ class ExperimentConfig:
         try:
             self.train = TrainConfig(**doc["train"])
         except ValueError as exc:
-            raise UsageError(f"bad train configuration: {exc}") from exc
+            raise UsageError(str(exc)) from exc
         self.doc, self.model, self.simulate = doc, doc["model"], doc["simulate"]
         self.optimize, self.eu, self.posterior = doc["optimize"], doc["eu"], doc["posterior"]
 
@@ -165,7 +165,8 @@ def simulate_table(cfg: ExperimentConfig) -> TrainingTable:
     elif cfg.experiment == presets.NORMAL_NORMAL:
         parts = {"model": cfg.build(presets.build_normal_normal).spec()}
     else:
-        raise UsageError(f"unknown experiment {cfg.experiment!r}")
+        raise UsageError("simulate needs an experiment: give --preset or set "
+                         "experiment in --config")
     sim = cfg.simulate
     return build_training_table(N=sim["N"], rng=RandomSource(seed=sim["seed"]),
                                 sorted_pairing=sim["sorted_pairing"], **parts)

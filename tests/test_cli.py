@@ -75,6 +75,19 @@ def test_simulate_requires_model():
     assert main(["simulate", "--n", "10"]) == 1
 
 
+def test_simulate_without_experiment_says_it_is_missing(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "model": {"risk_free": 0.05, "return_mean": 0.1, "return_sd": 0.25,
+                  "risk_aversion": 2.0},
+        "simulate": {"N": 5}}))
+    assert main(["simulate", "--config", str(config_path),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: simulate needs an experiment: give --preset or set "
+                   "experiment in --config"]
+
+
 def test_simulate_rejects_bad_n():
     assert main(["simulate", "--preset", "portfolio", "--n", "0"]) == 1
 
@@ -406,9 +419,17 @@ def test_too_small_grid_or_m_is_usage_error(tmp_path, capsys, argv):
     ("model", "prior_mean", "1.5", "a number"),
     ("model", "likelihood_sd", math.inf, "a number"),
     ("model", "weight_domain", [False, "1"], "a pair of numbers"),
+    ("train", "batch_size", 0, ">= 1, got 0"),
+    ("train", "max_epochs", 0, ">= 1, got 0"),
+    ("train", "patience", 0, ">= 1, got 0"),
+    ("train", "learning_rate", 0, "> 0, got 0"),
+    ("train", "validation_fraction", 1, "in (0, 1), got 1"),
+    ("train", "seed", -1, "in [0, 2**64), got -1"),
 ], ids=["sorted-pairing-str", "refine-str", "n-fraction", "eu-m-bool", "seed-str",
         "train-batch-fraction", "train-epochs-bool", "model-theta-bool", "model-mean-str",
-        "model-sd-inf", "model-domain-bool-str"])
+        "model-sd-inf", "model-domain-bool-str", "train-batch-0", "train-epochs-0",
+        "train-patience-0", "train-learning-rate-0", "train-validation-fraction-1",
+        "train-seed-neg"])
 def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, section, key, value,
                                                     wanted):
     config_path = tmp_path / "config.json"

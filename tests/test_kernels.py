@@ -4,6 +4,10 @@ Oracle: a pure-Python per-unit forward pass and the pinball-loss formula
 written out directly, so neither depends on the vectorised kernels.
 """
 
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -126,6 +130,40 @@ def test_kernels_allocate_one_array_per_layer():
     bwd = _peak_arrays(lambda: K.loss_grad_batch(params, sz, w_offs, b_offs, X, y, tau), n)
     assert fwd <= 2.5
     assert bwd <= 6.0
+
+
+_FAULTS_PER_CALL = """
+import resource
+import numpy as np
+from quantmeu import _kernels as K
+rng = np.random.default_rng(19)
+sizes = np.asarray((2, 64, 64, 64, 1), dtype=np.int64)
+w_offs, b_offs, n_params = K.layer_offsets(sizes)
+params = rng.normal(size=n_params)
+X4096, X, y = rng.normal(size=(4096, 2)), rng.normal(size=(256, 2)), rng.normal(size=256)
+tau = rng.uniform(0.02, 0.98, size=256)
+for fn in (lambda: K.loss_grad_batch(params, sizes, w_offs, b_offs, X, y, tau),
+           lambda: K.forward_batch(params, sizes, w_offs, b_offs, X4096)):
+    fn()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(20):
+        fn()
+    print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator policy")
+def test_kernels_reuse_freed_layer_arrays():
+    # Under glibc's default thresholds each freed (rows x 64) layer array goes
+    # back to the kernel, and the next call faults its pages in again: this
+    # script then counts about 148 and 983 per call. A fresh process, since
+    # earlier large frees in this one move glibc's sliding thresholds.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(K.__file__)))
+    out = subprocess.run([sys.executable, "-c", _FAULTS_PER_CALL], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    loss_grad, forward = map(float, out)
+    assert loss_grad < 16
+    assert forward < 16
 
 
 def test_backend_reports_active_path():
