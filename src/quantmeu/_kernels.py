@@ -6,6 +6,18 @@ forward holds at most two layers. Backward masks delta in place, as
 ReLU(z) > 0 iff z > 0, and writes each gradient into its view of the flat
 vector. Subgradients: ReLU'(0) = 0, pinball'(0) = tau.
 
+Two-thread forward: a batch of `_SPLIT_MIN_ROWS` to `_SPLIT_MAX_ROWS`
+rows is cut at a 64-row boundary near its middle, and the hidden layers of
+the two halves run at the same time, one on a worker thread started on
+first use and one in the caller, with OpenBLAS held to one thread for the
+length of the call. numpy's BLAS calls and ufuncs release the interpreter
+lock, so the bias adds and ReLUs, which OpenBLAS never threads, run on
+both cores too. The output layer then runs on all rows, as the unsplit
+pass runs it, and the bytes equal the unsplit pass's. Outside that row
+range, for hidden layers of unequal width, where numpy's BLAS does not
+export `openblas_set_num_threads_local`, or while another thread's split
+runs, the unsplit `_forward` runs. `loss_grad_batch` never splits.
+
 Allocator policy: at import, glibc's mmap threshold is set to 32 MiB and its
 trim threshold to 64 MiB for the whole process, the ceilings its own sliding
 threshold reaches on 64-bit. By default glibc serves each freed 0.5-2 MB
@@ -14,8 +26,8 @@ larger free, and the next pass faults every page back in: 873-1009 minor
 faults per 4096-row forward pass of 2-64-64-64-1 and 133-148 per 256-row
 loss and gradient, against 0-4 with the thresholds set (forward 4.4-5.1 ms
 -> 2.9-3.0 ms on a 2-vCPU host). Two alternatives lost: per-layer buffers kept here gained
-less and raised normal-normal peak RSS by 4.9-8.7%, and row chunks changed
-the forward bytes. Where mallopt is missing nothing is set.
+less and raised normal-normal peak RSS by 4.9-8.7%, and row chunks run as
+whole passes changed the forward bytes. Where mallopt is missing nothing is set.
 
 Parameters are stored as one flat float64 vector: for each layer, the
 weight matrix in row-major (out, in) order followed by the bias vector.
@@ -24,6 +36,10 @@ weight matrix in row-major (out, in) order followed by the bias vector.
 from __future__ import annotations
 
 import ctypes
+import os
+import queue
+import threading
+import time
 
 import numpy as np
 
@@ -86,9 +102,137 @@ def _activations(params, sizes, w_offs, b_offs, X):
         yield a
 
 
-def forward_batch(params, sizes, w_offs, b_offs, X):
+def _forward(params, sizes, w_offs, b_offs, X):
     for a in _activations(params, sizes, w_offs, b_offs, X):
         pass
+    return a[:, 0]
+
+
+def _blas_thread_setter():
+    """OpenBLAS's `openblas_set_num_threads_local`, which sets the thread
+    count and returns the one it replaces, or None where numpy's BLAS does
+    not export it. In a pthreads build of OpenBLAS it sets the process-wide
+    count, so one call in the caller covers both halves of a split."""
+    try:
+        from numpy._core import _multiarray_umath
+        setter = ctypes.CDLL(_multiarray_umath.__file__).openblas_set_num_threads_local
+    except (ImportError, OSError, AttributeError):
+        return None
+    setter.argtypes, setter.restype = (ctypes.c_int,), ctypes.c_int
+    return setter
+
+
+# Row counts where the split pays, from split/unsplit time per call on a
+# 2-vCPU host, 2-64-64-64-1 (medians over 6-8 alternating processes): 1024
+# rows 1.21, 2048 0.99, 3072 0.95, 4096 0.87, 7100 0.88, 7300 1.40. From
+# about 7200 rows on OpenBLAS threads the output layer's matrix-vector
+# product, and its pool thread, left spinning, takes a core from the next
+# call's halves.
+_SPLIT_MIN_ROWS, _SPLIT_MAX_ROWS = 3072, 7168
+_SPLIT_ALIGN = 64
+# Both sides of a split poll for this long before they block: waking a
+# blocked thread is slow on a shared 2-vCPU host, and polling took an
+# EU-like loop of 4096-row passes from 0.85-0.94x of the unsplit time to
+# 0.77-0.90x. About two EU queries' worth of time.
+_POLL_S = 0.005
+_set_blas_threads = _blas_thread_setter()
+_split_lock = threading.Lock()
+_worker = None
+
+
+def _drop_worker():
+    """A forked child has no copy of the worker thread; start a new one."""
+    global _worker, _split_lock
+    _worker, _split_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_worker)
+
+
+def _next(q):
+    """The next item of q: poll for _POLL_S, then block."""
+    deadline = time.monotonic() + _POLL_S
+    while time.monotonic() < deadline:
+        try:
+            return q.get_nowait()
+        except queue.Empty:
+            time.sleep(0)
+    return q.get()
+
+
+def _run(fn, args):
+    """fn(*args), returning None or the error it raised."""
+    try:
+        fn(*args)
+    except Exception as exc:  # raised again in the caller
+        return exc
+    return None
+
+
+def _serve(jobs, results):
+    """The worker thread. It holds no job between jobs, so that a split's
+    arrays are freed when the split returns."""
+    while True:
+        results.put(_run(*_next(jobs)))
+
+
+def _hidden(params, sizes, w_offs, b_offs, X, out, spare):
+    """Rows X through the ReLU layers, all of out's width: the layers take
+    turns between out and spare, so that the last lands in out."""
+    layers = list(layer_views(params, sizes, w_offs, b_offs))[:-1]
+    a = X
+    for l, (w, b) in enumerate(layers):
+        a = np.matmul(a, w.T, out=out if (len(layers) - l) % 2 else spare)
+        a += b
+        np.maximum(a, 0.0, out=a)
+
+
+def forward_batch(params, sizes, w_offs, b_offs, X):
+    """Net output per row of X; for a large X, the hidden layers run in two
+    row halves at once and the output layer on all rows."""
+    global _worker
+    n = X.shape[0]
+    widths = set(int(k) for k in sizes[1:-1])
+    lock = _split_lock
+    if (not _SPLIT_MIN_ROWS <= n <= _SPLIT_MAX_ROWS or len(widths) != 1
+            or _set_blas_threads is None or not lock.acquire(blocking=False)):
+        return _forward(params, sizes, w_offs, b_offs, X)
+    try:
+        if _worker is None:
+            _worker = (queue.SimpleQueue(), queue.SimpleQueue())
+            threading.Thread(target=_serve, args=_worker, name="quantmeu-forward",
+                             daemon=True).start()
+        jobs, results = _worker
+        hidden = np.empty((n, widths.pop()))
+        spare = np.empty_like(hidden)
+        cut = n // 2 // _SPLIT_ALIGN * _SPLIT_ALIGN
+        threads = _set_blas_threads(1)
+        try:
+            jobs.put((_hidden, (params, sizes, w_offs, b_offs, X[:cut], hidden[:cut],
+                                spare[:cut])))
+            try:
+                _hidden(params, sizes, w_offs, b_offs, X[cut:], hidden[cut:], spare[cut:])
+            finally:
+                try:
+                    error = _next(results)
+                except BaseException:
+                    # interrupted while waiting: this job's result would
+                    # answer the next split, so that gets a new worker
+                    _worker = None
+                    raise
+        finally:
+            _set_blas_threads(threads)
+    finally:
+        lock.release()
+    if error is not None:
+        raise error
+    # The output layer is a matrix-vector product that OpenBLAS threads from
+    # about 7200 rows on, and its bytes depend on where its threads cut the
+    # rows, so it runs as the unsplit pass runs it.
+    w, b = list(layer_views(params, sizes, w_offs, b_offs))[-1]
+    a = hidden @ w.T
+    a += b
     return a[:, 0]
 
 

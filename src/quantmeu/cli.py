@@ -4,7 +4,8 @@ Subcommands `simulate`, `train`, `optimize`, `eu`, and `repro` wire the
 models, engine, and closed-form modules into reproducible experiments.
 All outputs are CSV (17 significant digits), JSON, or SVG files under
 the --out directory. Exit codes: 0 success, 1 usage or configuration
-error, 2 I/O or data error, 3 failed checks in repro mode.
+error (a size too large to allocate included), 2 I/O or data error,
+3 failed checks in repro mode.
 """
 
 from __future__ import annotations
@@ -214,6 +215,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # numpy's message names the size it could not allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)

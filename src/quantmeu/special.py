@@ -50,9 +50,12 @@ _F = (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1, 1.4875361290850
 
 
 def _poly(coeffs, x):
-    acc = coeffs[-1]
-    for c in coeffs[-2::-1]:
-        acc = acc * x + c
+    """Horner's rule on array x, in place in one new array."""
+    acc = coeffs[-1] * x
+    acc += coeffs[-2]
+    for c in coeffs[-3::-1]:
+        acc *= x
+        acc += c
     return acc
 
 
@@ -69,8 +72,9 @@ def normal_quantile(p):
 
     central = np.abs(q) <= 0.425
     if np.any(central):
-        r = 0.180625 - q[central] ** 2
-        out[central] = q[central] * _poly(_A, r) / _poly(_B, r)
+        qc = q[central]
+        r = 0.180625 - qc ** 2
+        out[central] = qc * _poly(_A, r) / _poly(_B, r)
 
     tail = ~central
     if np.any(tail):

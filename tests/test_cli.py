@@ -488,3 +488,17 @@ def test_malformed_file_is_data_error(tmp_path, capsys, command, flag, write):
     assert main(argv) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["eu", "--net", "{net}", "--decision", "0.4", "--m", "1000000000000000"],
+    ["simulate", "--preset", "portfolio", "--n", "1000000000000000"],
+], ids=["eu-m-1e15", "simulate-n-1e15"])
+def test_size_too_large_to_allocate_is_usage_error(tmp_path, capsys, argv):
+    # 10**15 rows ask for petabytes, so the first allocation fails at once
+    net_path = tmp_path / "net.json"
+    save_net(DenseNet.initialized((2, 8, 1), seed=0), net_path)
+    argv = [a.format(net=net_path) for a in argv] + ["--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: out of memory")

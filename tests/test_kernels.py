@@ -9,9 +9,12 @@ import platform
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantmeu import _kernels as K
 
@@ -164,6 +167,124 @@ def test_kernels_reuse_freed_layer_arrays():
     loss_grad, forward = map(float, out)
     assert loss_grad < 16
     assert forward < 16
+
+
+PRODUCTION = (2, 64, 64, 64, 1)
+needs_split = pytest.mark.skipif(K._set_blas_threads is None,
+                                 reason="numpy's BLAS has no openblas_set_num_threads_local")
+
+
+def _split_matches_unsplit(seed, n):
+    # the split also runs above its row range here, where OpenBLAS threads
+    # the output layer and the bytes depend on where its threads cut
+    sz, w_offs, b_offs, params, X, y, tau = make_case(seed, PRODUCTION, n)
+    with mock.patch.object(K, "_SPLIT_MAX_ROWS", 12_000):
+        got = K.forward_batch(params, sz, w_offs, b_offs, X)
+    assert got.tobytes() == K._forward(params, sz, w_offs, b_offs, X).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12_000))
+def test_split_forward_matches_unsplit_bytes(seed, n):
+    _split_matches_unsplit(seed, n)
+
+
+@pytest.mark.parametrize("n", [511, 512, 513, 1000, 1025, 2047, 2048, 2049, 3071, 3072,
+                               3073, 3333, 4097, 7168, 7169, 7641, 10_000])
+def test_split_forward_matches_unsplit_bytes_at_edges(n):
+    # both ends of the split's row range, odd halves and 1-row tails; at
+    # 7641 rows one and two BLAS threads differ in the output layer
+    _split_matches_unsplit(n, n)
+
+
+def _blas_threads():
+    """The current OpenBLAS thread count, read by setting it and back."""
+    current = K._set_blas_threads(1)
+    K._set_blas_threads(current)
+    return current
+
+
+@needs_split
+def test_split_forward_restores_blas_threads():
+    sz, w_offs, b_offs, params, X, y, tau = make_case(23, PRODUCTION, 4096)
+    before = _blas_threads()
+    K.forward_batch(params, sz, w_offs, b_offs, X)
+    assert _blas_threads() == before
+
+
+@pytest.mark.parametrize("n", [40, 144, 256])
+def test_split_forward_leaves_training_gradients_alone(n):
+    # training's batch shapes at bench and preset scale; gradient bytes
+    # depend on the BLAS thread count at some shapes, so a split that left
+    # OpenBLAS on one thread would show here
+    sz, w_offs, b_offs, params, X, y, tau = make_case(29, PRODUCTION, n)
+    X_big = make_case(31, PRODUCTION, 4096)[4]
+    loss, grad = K.loss_grad_batch(params, sz, w_offs, b_offs, X, y, tau)
+    K.forward_batch(params, sz, w_offs, b_offs, X_big)
+    loss2, grad2 = K.loss_grad_batch(params, sz, w_offs, b_offs, X, y, tau)
+    assert loss2 == loss
+    assert grad2.tobytes() == grad.tobytes()
+
+
+_SPLIT_SETUP = """
+import os, threading
+import numpy as np
+from quantmeu import _kernels as K
+rng = np.random.default_rng(37)
+sizes = np.asarray((2, 64, 64, 64, 1), dtype=np.int64)
+w_offs, b_offs, n_params = K.layer_offsets(sizes)
+params = rng.normal(size=n_params)
+X = rng.normal(size=(4096, 2))
+def threads():
+    if os.path.isdir("/proc/self/task"):
+        return len(os.listdir("/proc/self/task"))
+    return threading.active_count()
+"""
+
+_THREADS_AFTER_SPLITS = _SPLIT_SETUP + """
+before = threads()
+for _ in range(100):
+    K.forward_batch(params, sizes, w_offs, b_offs, X)
+print(threads() - before)
+"""
+
+_FORK_AFTER_SPLIT = _SPLIT_SETUP + """
+import select, signal
+want = K.forward_batch(params, sizes, w_offs, b_offs, X).tobytes()
+read_end, write_end = os.pipe()
+pid = os.fork()
+if pid == 0:
+    got = K.forward_batch(params, sizes, w_offs, b_offs, X).tobytes()
+    os.write(write_end, b"same" if got == want else b"diff")
+    os._exit(0)
+os.close(write_end)
+if select.select([read_end], [], [], 60)[0]:
+    print(os.read(read_end, 4).decode())
+else:
+    os.kill(pid, signal.SIGKILL)
+    print("hung")
+os.waitpid(pid, 0)
+"""
+
+
+def _run_script(script):
+    # a fresh process: thread counts and fork state of this one are unknown
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(K.__file__)))
+    return subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                          capture_output=True, text=True, timeout=120).stdout.strip()
+
+
+@needs_split
+def test_split_forward_keeps_one_worker_thread():
+    assert int(_run_script(_THREADS_AFTER_SPLITS)) <= 1
+
+
+@needs_split
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_split_forward_in_forked_child():
+    # the child inherits the parent's worker object but not its thread;
+    # without the fork hook its first split waits for that thread forever
+    assert _run_script(_FORK_AFTER_SPLIT) == "same"
 
 
 def test_backend_reports_active_path():
