@@ -15,8 +15,10 @@ lock, so the bias adds and ReLUs, which OpenBLAS never threads, run on
 both cores too. The output layer then runs on all rows, as the unsplit
 pass runs it, and the bytes equal the unsplit pass's. Outside that row
 range, for hidden layers of unequal width, where numpy's BLAS does not
-export `openblas_set_num_threads_local`, or while another thread's split
-runs, the unsplit `_forward` runs. `loss_grad_batch` never splits.
+export `openblas_set_num_threads_local`, or while the process has another
+Python thread than the worker, the unsplit `_forward` runs.
+`loss_grad_batch` never splits; training's validation pass, a
+`forward_batch`, splits where the validation set is in that row range.
 
 Allocator policy: at import, glibc's mmap threshold is set to 32 MiB and its
 trim threshold to 64 MiB for the whole process, the ceilings its own sliding
@@ -91,11 +93,17 @@ def layer_views(params, sizes, w_offs, b_offs):
         yield w, b
 
 
-def _activations(params, sizes, w_offs, b_offs, X):
-    """Each layer's output in turn: ReLU on every layer but the last."""
+def _activations(params, sizes, w_offs, b_offs, X, out=None):
+    """Each layer's output in turn: ReLU on every layer but the last. Given
+    `out`, two arrays of the hidden layers' common width, only the hidden
+    layers run, writing into the two by turns so that the last lands in
+    out[0]."""
+    layers = layer_views(params, sizes, w_offs, b_offs)
+    if out is not None:
+        layers = list(layers)[:-1]
     a = X
-    for l, (w, b) in enumerate(layer_views(params, sizes, w_offs, b_offs)):
-        a = a @ w.T
+    for l, (w, b) in enumerate(layers):
+        a = np.matmul(a, w.T, out=None if out is None else out[(len(sizes) - 3 - l) % 2])
         a += b
         if l < len(sizes) - 2:
             np.maximum(a, 0.0, out=a)
@@ -136,14 +144,13 @@ _SPLIT_ALIGN = 64
 # 0.77-0.90x. About two EU queries' worth of time.
 _POLL_S = 0.005
 _set_blas_threads = _blas_thread_setter()
-_split_lock = threading.Lock()
 _worker = None
 
 
 def _drop_worker():
     """A forked child has no copy of the worker thread; start a new one."""
-    global _worker, _split_lock
-    _worker, _split_lock = None, threading.Lock()
+    global _worker
+    _worker = None
 
 
 if hasattr(os, "register_at_fork"):
@@ -161,31 +168,26 @@ def _next(q):
     return q.get()
 
 
-def _run(fn, args):
-    """fn(*args), returning None or the error it raised."""
-    try:
-        fn(*args)
-    except Exception as exc:  # raised again in the caller
-        return exc
-    return None
+def _hidden(*args):
+    """The hidden layers of one half: `_activations` with `out`."""
+    for _ in _activations(*args):
+        pass
 
 
 def _serve(jobs, results):
-    """The worker thread. It holds no job between jobs, so that a split's
-    arrays are freed when the split returns."""
+    """The worker thread: runs the hidden layers of one half per job and
+    answers None or the error they raised."""
     while True:
-        results.put(_run(*_next(jobs)))
-
-
-def _hidden(params, sizes, w_offs, b_offs, X, out, spare):
-    """Rows X through the ReLU layers, all of out's width: the layers take
-    turns between out and spare, so that the last lands in out."""
-    layers = list(layer_views(params, sizes, w_offs, b_offs))[:-1]
-    a = X
-    for l, (w, b) in enumerate(layers):
-        a = np.matmul(a, w.T, out=out if (len(layers) - l) % 2 else spare)
-        a += b
-        np.maximum(a, 0.0, out=a)
+        job = _next(jobs)
+        try:
+            _hidden(*job)
+            error = None
+        except Exception as exc:  # raised again in the caller
+            error = exc
+        # dropped before the answer, so that the caller frees the split's
+        # arrays when it returns and the next split reuses their pages
+        del job
+        results.put(error)
 
 
 def forward_batch(params, sizes, w_offs, b_offs, X):
@@ -193,38 +195,37 @@ def forward_batch(params, sizes, w_offs, b_offs, X):
     row halves at once and the output layer on all rows."""
     global _worker
     n = X.shape[0]
-    widths = set(int(k) for k in sizes[1:-1])
-    lock = _split_lock
-    if (not _SPLIT_MIN_ROWS <= n <= _SPLIT_MAX_ROWS or len(widths) != 1
-            or _set_blas_threads is None or not lock.acquire(blocking=False)):
+    # The BLAS thread count is process-wide, so no split while any other
+    # Python thread than the worker could call BLAS: at one thread its
+    # bytes can differ (the output layer from about 7200 rows on).
+    if (not _SPLIT_MIN_ROWS <= n <= _SPLIT_MAX_ROWS or _set_blas_threads is None
+            or threading.active_count() > 1 + (_worker is not None)
+            or len(set(sizes[1:-1])) != 1):
         return _forward(params, sizes, w_offs, b_offs, X)
+    if _worker is None:
+        _worker = (queue.SimpleQueue(), queue.SimpleQueue())
+        threading.Thread(target=_serve, args=_worker, name="quantmeu-forward",
+                         daemon=True).start()
+    jobs, results = _worker
+    hidden = np.empty((n, int(sizes[1])))
+    spare = np.empty_like(hidden)
+    cut = n // 2 // _SPLIT_ALIGN * _SPLIT_ALIGN
+    threads = _set_blas_threads(1)
     try:
-        if _worker is None:
-            _worker = (queue.SimpleQueue(), queue.SimpleQueue())
-            threading.Thread(target=_serve, args=_worker, name="quantmeu-forward",
-                             daemon=True).start()
-        jobs, results = _worker
-        hidden = np.empty((n, widths.pop()))
-        spare = np.empty_like(hidden)
-        cut = n // 2 // _SPLIT_ALIGN * _SPLIT_ALIGN
-        threads = _set_blas_threads(1)
+        jobs.put((params, sizes, w_offs, b_offs, X[:cut], (hidden[:cut], spare[:cut])))
         try:
-            jobs.put((_hidden, (params, sizes, w_offs, b_offs, X[:cut], hidden[:cut],
-                                spare[:cut])))
-            try:
-                _hidden(params, sizes, w_offs, b_offs, X[cut:], hidden[cut:], spare[cut:])
-            finally:
-                try:
-                    error = _next(results)
-                except BaseException:
-                    # interrupted while waiting: this job's result would
-                    # answer the next split, so that gets a new worker
-                    _worker = None
-                    raise
+            _hidden(params, sizes, w_offs, b_offs, X[cut:], (hidden[cut:], spare[cut:]))
         finally:
-            _set_blas_threads(threads)
+            try:
+                error = _next(results)
+            except BaseException:
+                # interrupted while waiting: this job's result would answer
+                # the next split, so the worker is dropped, and its thread,
+                # still alive, keeps later passes unsplit
+                _worker = None
+                raise
     finally:
-        lock.release()
+        _set_blas_threads(threads)
     if error is not None:
         raise error
     # The output layer is a matrix-vector product that OpenBLAS threads from

@@ -8,6 +8,7 @@ import os
 import platform
 import subprocess
 import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -208,8 +209,34 @@ def _blas_threads():
 def test_split_forward_restores_blas_threads():
     sz, w_offs, b_offs, params, X, y, tau = make_case(23, PRODUCTION, 4096)
     before = _blas_threads()
-    K.forward_batch(params, sz, w_offs, b_offs, X)
+    with mock.patch.object(K, "_set_blas_threads", wraps=K._set_blas_threads) as setter:
+        K.forward_batch(params, sz, w_offs, b_offs, X)
+    assert [c.args for c in setter.call_args_list] == [(1,), (before,)]
     assert _blas_threads() == before
+
+
+@needs_split
+def test_no_split_while_another_thread_runs_blas():
+    # the BLAS thread count is process-wide, and at 7641 rows one and two
+    # BLAS threads give different output bytes, so a split in one thread
+    # would change another thread's large pass
+    sz, w_offs, b_offs, params, X, y, tau = make_case(0, PRODUCTION, 7641)
+    want = K._forward(params, sz, w_offs, b_offs, X).tobytes()
+    X_split = make_case(43, PRODUCTION, 4096)[4]
+    stop = threading.Event()
+
+    def split_passes():
+        while not stop.is_set():
+            K.forward_batch(params, sz, w_offs, b_offs, X_split)
+
+    other = threading.Thread(target=split_passes)
+    other.start()
+    try:
+        got = [K._forward(params, sz, w_offs, b_offs, X).tobytes() for _ in range(50)]
+    finally:
+        stop.set()
+        other.join()
+    assert all(g == want for g in got)
 
 
 @pytest.mark.parametrize("n", [40, 144, 256])
