@@ -6,19 +6,24 @@ forward holds at most two layers. Backward masks delta in place, as
 ReLU(z) > 0 iff z > 0, and writes each gradient into its view of the flat
 vector. Subgradients: ReLU'(0) = 0, pinball'(0) = tau.
 
-Two-thread forward: a batch of `_SPLIT_MIN_ROWS` to `_SPLIT_MAX_ROWS`
-rows is cut at a 64-row boundary near its middle, and the hidden layers of
-the two halves run at the same time, one on a worker thread started on
-first use and one in the caller, with OpenBLAS held to one thread for the
-length of the call. numpy's BLAS calls and ufuncs release the interpreter
-lock, so the bias adds and ReLUs, which OpenBLAS never threads, run on
-both cores too. The output layer then runs on all rows, as the unsplit
-pass runs it, and the bytes equal the unsplit pass's. Outside that row
-range, for hidden layers of unequal width, where numpy's BLAS does not
-export `openblas_set_num_threads_local`, or while the process has another
-Python thread than the worker, the unsplit `_forward` runs.
+Two-thread forward: a batch of at least `_SPLIT_MIN_ROWS` rows is cut at a
+64-row boundary near its middle, and the hidden layers of the two halves
+run at the same time, one on a worker thread started on first use and one
+in the caller. numpy's BLAS calls and ufuncs release the interpreter lock,
+so the bias adds and ReLUs run on both cores too. The output layer then
+runs on all rows, as the unsplit pass runs it, and the bytes equal the
+unsplit pass's. For hidden layers of unequal width, or while the process
+has another Python thread than the worker, the unsplit `_forward` runs.
 `loss_grad_batch` never splits; training's validation pass, a
-`forward_batch`, splits where the validation set is in that row range.
+`forward_batch`, splits where the validation set is large enough.
+
+BLAS thread policy: at import, OpenBLAS is set to one thread for the whole
+process, through `openblas_set_num_threads_local`; nothing here changes it
+again. A threaded OpenBLAS cuts the output layer's matrix-vector product
+(from about 7200 rows of 2-64-64-64-1) and some gradient products (1000
+and 1025 rows) by its thread count, so their bytes would depend on the
+host's cores. Where the symbol is missing nothing is set and nothing
+splits.
 
 Allocator policy: at import, glibc's mmap threshold is set to 32 MiB and its
 trim threshold to 64 MiB for the whole process, the ceilings its own sliding
@@ -62,7 +67,24 @@ def _keep_freed_arrays():
             raise OSError(f"mallopt({param}, {value}) was refused")
 
 
+def _blas_thread_setter():
+    """OpenBLAS's `openblas_set_num_threads_local`, which sets the thread
+    count and returns the one it replaces, or None where numpy's BLAS does
+    not export it. In a pthreads build of OpenBLAS it sets the process-wide
+    count."""
+    try:
+        from numpy._core import _multiarray_umath
+        setter = ctypes.CDLL(_multiarray_umath.__file__).openblas_set_num_threads_local
+    except (ImportError, OSError, AttributeError):
+        return None
+    setter.argtypes, setter.restype = (ctypes.c_int,), ctypes.c_int
+    return setter
+
+
 _keep_freed_arrays()
+_set_blas_threads = _blas_thread_setter()
+if _set_blas_threads is not None:
+    _set_blas_threads(1)
 
 
 def backend() -> str:
@@ -116,34 +138,16 @@ def _forward(params, sizes, w_offs, b_offs, X):
     return a[:, 0]
 
 
-def _blas_thread_setter():
-    """OpenBLAS's `openblas_set_num_threads_local`, which sets the thread
-    count and returns the one it replaces, or None where numpy's BLAS does
-    not export it. In a pthreads build of OpenBLAS it sets the process-wide
-    count, so one call in the caller covers both halves of a split."""
-    try:
-        from numpy._core import _multiarray_umath
-        setter = ctypes.CDLL(_multiarray_umath.__file__).openblas_set_num_threads_local
-    except (ImportError, OSError, AttributeError):
-        return None
-    setter.argtypes, setter.restype = (ctypes.c_int,), ctypes.c_int
-    return setter
-
-
-# Row counts where the split pays, from split/unsplit time per call on a
-# 2-vCPU host, 2-64-64-64-1 (medians over 6-8 alternating processes): 1024
-# rows 1.21, 2048 0.99, 3072 0.95, 4096 0.87, 7100 0.88, 7300 1.40. From
-# about 7200 rows on OpenBLAS threads the output layer's matrix-vector
-# product, and its pool thread, left spinning, takes a core from the next
-# call's halves.
-_SPLIT_MIN_ROWS, _SPLIT_MAX_ROWS = 3072, 7168
+# Split/unsplit time per call on a 2-vCPU host, 2-64-64-64-1, both at one
+# BLAS thread (medians over 8 processes): 1024 rows 0.76, 3072 0.66, 4096
+# 0.59, 10,000 0.59. Below 3072 rows the gain is not yet measured end to end.
+_SPLIT_MIN_ROWS = 3072
 _SPLIT_ALIGN = 64
 # Both sides of a split poll for this long before they block: waking a
 # blocked thread is slow on a shared 2-vCPU host, and polling took an
 # EU-like loop of 4096-row passes from 0.85-0.94x of the unsplit time to
 # 0.77-0.90x. About two EU queries' worth of time.
 _POLL_S = 0.005
-_set_blas_threads = _blas_thread_setter()
 _worker = None
 
 
@@ -195,10 +199,9 @@ def forward_batch(params, sizes, w_offs, b_offs, X):
     row halves at once and the output layer on all rows."""
     global _worker
     n = X.shape[0]
-    # The BLAS thread count is process-wide, so no split while any other
-    # Python thread than the worker could call BLAS: at one thread its
-    # bytes can differ (the output layer from about 7200 rows on).
-    if (not _SPLIT_MIN_ROWS <= n <= _SPLIT_MAX_ROWS or _set_blas_threads is None
+    # One worker serves one caller at a time, so no split while the process
+    # has any other Python thread than the worker.
+    if (n < _SPLIT_MIN_ROWS or _set_blas_threads is None
             or threading.active_count() > 1 + (_worker is not None)
             or len(set(sizes[1:-1])) != 1):
         return _forward(params, sizes, w_offs, b_offs, X)
@@ -210,27 +213,22 @@ def forward_batch(params, sizes, w_offs, b_offs, X):
     hidden = np.empty((n, int(sizes[1])))
     spare = np.empty_like(hidden)
     cut = n // 2 // _SPLIT_ALIGN * _SPLIT_ALIGN
-    threads = _set_blas_threads(1)
+    jobs.put((params, sizes, w_offs, b_offs, X[:cut], (hidden[:cut], spare[:cut])))
     try:
-        jobs.put((params, sizes, w_offs, b_offs, X[:cut], (hidden[:cut], spare[:cut])))
-        try:
-            _hidden(params, sizes, w_offs, b_offs, X[cut:], (hidden[cut:], spare[cut:]))
-        finally:
-            try:
-                error = _next(results)
-            except BaseException:
-                # interrupted while waiting: this job's result would answer
-                # the next split, so the worker is dropped, and its thread,
-                # still alive, keeps later passes unsplit
-                _worker = None
-                raise
+        _hidden(params, sizes, w_offs, b_offs, X[cut:], (hidden[cut:], spare[cut:]))
     finally:
-        _set_blas_threads(threads)
+        try:
+            error = _next(results)
+        except BaseException:
+            # interrupted while waiting: this job's result would answer the
+            # next split, so the worker is dropped, and its thread, still
+            # alive, keeps later passes unsplit
+            _worker = None
+            raise
     if error is not None:
         raise error
-    # The output layer is a matrix-vector product that OpenBLAS threads from
-    # about 7200 rows on, and its bytes depend on where its threads cut the
-    # rows, so it runs as the unsplit pass runs it.
+    # The output layer runs on all rows in the caller, as the unsplit pass
+    # runs it, so the worker allocates no array of its own.
     w, b = list(layer_views(params, sizes, w_offs, b_offs))[-1]
     a = hidden @ w.T
     a += b

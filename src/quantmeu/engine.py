@@ -198,10 +198,13 @@ def expected_utility(quantile_source, d: Optional[float] = None,
     if not np.all(np.isfinite(values)):
         raise NumericError("quantile source produced non-finite values")
 
-    estimate = float(values.mean())
-    if rng is None:
-        return estimate, 0.0
-    return estimate, float(values.std(ddof=1) / math.sqrt(M))
+    # finite values can still overflow in their sum or spread
+    with np.errstate(over="ignore", invalid="ignore"):
+        estimate = float(values.mean())
+        se = 0.0 if rng is None else float(values.std(ddof=1) / math.sqrt(M))
+    if not (math.isfinite(estimate) and math.isfinite(se)):
+        raise NumericError("the EU estimate or its standard error overflowed")
+    return estimate, se
 
 
 @dataclass

@@ -361,6 +361,10 @@ def run_portfolio(outdir, overrides: Optional[dict] = None,
     structural_only) the trained-utility-net weight recovery check."""
     t0 = time.perf_counter()
     cfg = ExperimentConfig(presets.PORTFOLIO, overrides)
+    if cfg.simulate["grid_size"] < 3:
+        # the concavity check takes second differences of the analytic curve
+        raise UsageError("simulate.grid_size must be >= 3 for the portfolio repro, "
+                         f"got {cfg.simulate['grid_size']}")
     os.makedirs(outdir, exist_ok=True)
     report = ReproReport(experiment=cfg.experiment)
 

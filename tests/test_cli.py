@@ -215,6 +215,17 @@ def test_eu_corrupt_net(tmp_path):
     assert main(["eu", "--net", str(bad), "--decision", "0.4"]) == 2
 
 
+def test_eu_overflowing_estimate_is_numeric_error(tmp_path, capsys):
+    # finite quantiles near 1e308 whose mean overflows once printed Infinity
+    net_path = tmp_path / "net.json"
+    save_net(DenseNet.initialized((2, 8, 1), seed=0), net_path)
+    assert main(["eu", "--net", str(net_path), "--decision", "1e308"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
 # ---------------------------------------------------------------------------
 # repro
 # ---------------------------------------------------------------------------
@@ -372,6 +383,7 @@ def test_bad_seed_rejected(tmp_path):
      {"model": {"weight_domain": [False, "1"]}}],
     ["simulate", "--preset", "portfolio", "--n", "5", "--config",
      {"model": {"risk_free": math.nan}}],
+    ["repro", "portfolio", "--structural", "--grid", "2"],
 ], ids=["simulate-grid0", "repro-grid1", "optimize-grid1", "eu-m1",
         "repro-seed-1", "repro-n0", "repro-train-key", "optimize-eu-m1",
         "optimize-eu-scheme", "simulate-model-key", "simulate-section-n",
@@ -389,7 +401,8 @@ def test_bad_seed_rejected(tmp_path):
         "repro-data-seed-fraction", "repro-data-seed-bool", "repro-data-seed-str",
         "optimize-learning-rate-bool", "simulate-key-typo-n", "optimize-key-typo-eu-m",
         "simulate-model-key-typo", "simulate-section-typo", "repro-true-theta-bool",
-        "repro-prior-mean-str", "simulate-domain-bool-str", "simulate-risk-free-nan"])
+        "repro-prior-mean-str", "simulate-domain-bool-str", "simulate-risk-free-nan",
+        "repro-portfolio-grid2"])
 def test_too_small_grid_or_m_is_usage_error(tmp_path, capsys, argv):
     net_path = tmp_path / "net.json"
     save_net(DenseNet.initialized((2, 8, 1), seed=0), net_path)

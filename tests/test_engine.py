@@ -412,6 +412,11 @@ def test_expected_utility_guards():
         expected_utility(lambda t: t[:-1], M=16)
     with pytest.raises(NumericError):
         expected_utility(lambda t: np.full(t.shape, np.nan), M=16)
+    with pytest.raises(NumericError):
+        expected_utility(lambda t: np.full(t.shape, 1e308), M=16)
+    with pytest.raises(NumericError):
+        expected_utility(lambda t: np.where(t < 0.5, -1e200, 1e200), M=16,
+                         rng=RandomSource(0))
 
 
 def test_expected_utility_via_utility_net():

@@ -10,7 +10,6 @@ import subprocess
 import sys
 import threading
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -176,11 +175,8 @@ needs_split = pytest.mark.skipif(K._set_blas_threads is None,
 
 
 def _split_matches_unsplit(seed, n):
-    # the split also runs above its row range here, where OpenBLAS threads
-    # the output layer and the bytes depend on where its threads cut
     sz, w_offs, b_offs, params, X, y, tau = make_case(seed, PRODUCTION, n)
-    with mock.patch.object(K, "_SPLIT_MAX_ROWS", 12_000):
-        got = K.forward_batch(params, sz, w_offs, b_offs, X)
+    got = K.forward_batch(params, sz, w_offs, b_offs, X)
     assert got.tobytes() == K._forward(params, sz, w_offs, b_offs, X).tobytes()
 
 
@@ -193,33 +189,41 @@ def test_split_forward_matches_unsplit_bytes(seed, n):
 @pytest.mark.parametrize("n", [511, 512, 513, 1000, 1025, 2047, 2048, 2049, 3071, 3072,
                                3073, 3333, 4097, 7168, 7169, 7641, 10_000])
 def test_split_forward_matches_unsplit_bytes_at_edges(n):
-    # both ends of the split's row range, odd halves and 1-row tails; at
-    # 7641 rows one and two BLAS threads differ in the output layer
+    # the split's lower row bound, odd halves and 1-row tails; at 7641 rows a
+    # threaded output layer would give other bytes than one BLAS thread
     _split_matches_unsplit(n, n)
 
 
-def _blas_threads():
-    """The current OpenBLAS thread count, read by setting it and back."""
-    current = K._set_blas_threads(1)
-    K._set_blas_threads(current)
+_BLAS_THREADS = """
+import numpy as np
+from quantmeu import _kernels as K
+setter = K._blas_thread_setter()
+def threads():
+    # the setter returns the count it replaces
+    current = setter(1)
+    setter(current)
     return current
+print(threads())
+rng = np.random.default_rng(23)
+sizes = np.asarray((2, 64, 64, 64, 1), dtype=np.int64)
+w_offs, b_offs, n_params = K.layer_offsets(sizes)
+K.forward_batch(rng.normal(size=n_params), sizes, w_offs, b_offs, rng.normal(size=(4096, 2)))
+print(threads())
+"""
 
 
 @needs_split
-def test_split_forward_restores_blas_threads():
-    sz, w_offs, b_offs, params, X, y, tau = make_case(23, PRODUCTION, 4096)
-    before = _blas_threads()
-    with mock.patch.object(K, "_set_blas_threads", wraps=K._set_blas_threads) as setter:
-        K.forward_batch(params, sz, w_offs, b_offs, X)
-    assert [c.args for c in setter.call_args_list] == [(1,), (before,)]
-    assert _blas_threads() == before
+def test_import_holds_blas_to_one_thread():
+    # a fresh process with two BLAS threads asked for: importing quantmeu
+    # sets one for the whole process, and a split leaves it there
+    out = _run_script(_BLAS_THREADS, OPENBLAS_NUM_THREADS="2").split()
+    assert out == ["1", "1"]
 
 
 @needs_split
 def test_no_split_while_another_thread_runs_blas():
-    # the BLAS thread count is process-wide, and at 7641 rows one and two
-    # BLAS threads give different output bytes, so a split in one thread
-    # would change another thread's large pass
+    # one worker serves one caller at a time, so a split in one thread must
+    # leave another thread's large passes unsplit and their bytes unchanged
     sz, w_offs, b_offs, params, X, y, tau = make_case(0, PRODUCTION, 7641)
     want = K._forward(params, sz, w_offs, b_offs, X).tobytes()
     X_split = make_case(43, PRODUCTION, 4096)[4]
@@ -241,9 +245,8 @@ def test_no_split_while_another_thread_runs_blas():
 
 @pytest.mark.parametrize("n", [40, 144, 256])
 def test_split_forward_leaves_training_gradients_alone(n):
-    # training's batch shapes at bench and preset scale; gradient bytes
-    # depend on the BLAS thread count at some shapes, so a split that left
-    # OpenBLAS on one thread would show here
+    # training's batch shapes at bench and preset scale: a split between two
+    # gradient calls must change neither the loss nor the gradient bytes
     sz, w_offs, b_offs, params, X, y, tau = make_case(29, PRODUCTION, n)
     X_big = make_case(31, PRODUCTION, 4096)[4]
     loss, grad = K.loss_grad_batch(params, sz, w_offs, b_offs, X, y, tau)
@@ -294,9 +297,10 @@ os.waitpid(pid, 0)
 """
 
 
-def _run_script(script):
+def _run_script(script, **env_vars):
     # a fresh process: thread counts and fork state of this one are unknown
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(K.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(K.__file__)),
+               **env_vars)
     return subprocess.run([sys.executable, "-c", script], env=env, check=True,
                           capture_output=True, text=True, timeout=120).stdout.strip()
 
@@ -312,6 +316,31 @@ def test_split_forward_in_forked_child():
     # the child inherits the parent's worker object but not its thread;
     # without the fork hook its first split waits for that thread forever
     assert _run_script(_FORK_AFTER_SPLIT) == "same"
+
+
+_HASH_OUTPUTS = """
+import hashlib
+import numpy as np
+from quantmeu import _kernels as K
+rng = np.random.default_rng(0)
+sizes = np.asarray((2, 64, 64, 64, 1), dtype=np.int64)
+w_offs, b_offs, n_params = K.layer_offsets(sizes)
+params = rng.normal(size=n_params)
+X, X_grad, y = rng.normal(size=(7641, 2)), rng.normal(size=(1000, 2)), rng.normal(size=1000)
+tau = rng.uniform(0.02, 0.98, size=1000)
+loss, grad = K.loss_grad_batch(params, sizes, w_offs, b_offs, X_grad, y, tau)
+digest = hashlib.sha256(K.forward_batch(params, sizes, w_offs, b_offs, X).tobytes())
+digest.update(np.float64(loss).tobytes() + grad.tobytes())
+print(digest.hexdigest())
+"""
+
+
+@needs_split
+def test_output_bytes_ignore_the_blas_thread_setting():
+    # two OpenBLAS threads once cut the output layer at 7641 rows and the
+    # gradient products at 1000 rows by thread, and gave other bytes
+    hashes = {_run_script(_HASH_OUTPUTS, OPENBLAS_NUM_THREADS=t) for t in ("1", "2")}
+    assert len(hashes) == 1
 
 
 def test_backend_reports_active_path():
