@@ -7,13 +7,14 @@ ReLU(z) > 0 iff z > 0, and writes each gradient into its view of the flat
 vector. Subgradients: ReLU'(0) = 0, pinball'(0) = tau.
 
 Two-thread forward: a batch of at least `_SPLIT_MIN_ROWS` rows is cut at a
-64-row boundary near its middle, and the hidden layers of the two halves
-run at the same time, one on a worker thread started on first use and one
-in the caller. numpy's BLAS calls and ufuncs release the interpreter lock,
-so the bias adds and ReLUs run on both cores too. The output layer then
-runs on all rows, as the unsplit pass runs it, and the bytes equal the
-unsplit pass's. For hidden layers of unequal width, or while the process
-has another Python thread than the worker, the unsplit `_forward` runs.
+64-row boundary near its middle, and the two halves run as two whole
+unsplit passes at the same time, one on a worker thread started on first
+use and one in the caller; their outputs are joined. numpy's BLAS calls and
+ufuncs release the interpreter lock, so the bias adds and ReLUs run on both
+cores too. At one BLAS thread and with the cut on a 64-row boundary, a
+row's output does not depend on the rows that share its pass, so the bytes
+equal the unsplit pass's. While the process has another Python thread than
+the worker, the unsplit `_forward` runs.
 `loss_grad_batch` never splits; training's validation pass, a
 `forward_batch`, splits where the validation set is large enough.
 
@@ -34,7 +35,8 @@ faults per 4096-row forward pass of 2-64-64-64-1 and 133-148 per 256-row
 loss and gradient, against 0-4 with the thresholds set (forward 4.4-5.1 ms
 -> 2.9-3.0 ms on a 2-vCPU host). Two alternatives lost: per-layer buffers kept here gained
 less and raised normal-normal peak RSS by 4.9-8.7%, and row chunks run as
-whole passes changed the forward bytes. Where mallopt is missing nothing is set.
+whole passes changed the forward bytes unless cut on 64-row boundaries.
+Where mallopt is missing nothing is set.
 
 Parameters are stored as one flat float64 vector: for each layer, the
 weight matrix in row-major (out, in) order followed by the bias vector.
@@ -115,17 +117,11 @@ def layer_views(params, sizes, w_offs, b_offs):
         yield w, b
 
 
-def _activations(params, sizes, w_offs, b_offs, X, out=None):
-    """Each layer's output in turn: ReLU on every layer but the last. Given
-    `out`, two arrays of the hidden layers' common width, only the hidden
-    layers run, writing into the two by turns so that the last lands in
-    out[0]."""
-    layers = layer_views(params, sizes, w_offs, b_offs)
-    if out is not None:
-        layers = list(layers)[:-1]
+def _activations(params, sizes, w_offs, b_offs, X):
+    """Each layer's output in turn: ReLU on every layer but the last."""
     a = X
-    for l, (w, b) in enumerate(layers):
-        a = np.matmul(a, w.T, out=None if out is None else out[(len(sizes) - 3 - l) % 2])
+    for l, (w, b) in enumerate(layer_views(params, sizes, w_offs, b_offs)):
+        a = a @ w.T
         a += b
         if l < len(sizes) - 2:
             np.maximum(a, 0.0, out=a)
@@ -139,8 +135,8 @@ def _forward(params, sizes, w_offs, b_offs, X):
 
 
 # Split/unsplit time per call on a 2-vCPU host, 2-64-64-64-1, both at one
-# BLAS thread (medians over 8 processes): 1024 rows 0.76, 3072 0.66, 4096
-# 0.59, 10,000 0.59. Below 3072 rows the gain is not yet measured end to end.
+# BLAS thread (medians over 8 processes): 1024 rows 0.78, 3072 0.56, 4096
+# 0.55, 10,000 0.56. Below 3072 rows the gain is not yet measured end to end.
 _SPLIT_MIN_ROWS = 3072
 _SPLIT_ALIGN = 64
 # Both sides of a split poll for this long before they block: waking a
@@ -172,67 +168,47 @@ def _next(q):
     return q.get()
 
 
-def _hidden(*args):
-    """The hidden layers of one half: `_activations` with `out`."""
-    for _ in _activations(*args):
-        pass
-
-
 def _serve(jobs, results):
-    """The worker thread: runs the hidden layers of one half per job and
-    answers None or the error they raised."""
-    while True:
-        job = _next(jobs)
+    """The worker thread: runs one unsplit pass per job and answers its
+    output or the error it raised, until a None job stops it."""
+    while (job := _next(jobs)) is not None:
         try:
-            _hidden(*job)
-            error = None
+            results.put(_forward(*job))
         except Exception as exc:  # raised again in the caller
-            error = exc
-        # dropped before the answer, so that the caller frees the split's
-        # arrays when it returns and the next split reuses their pages
-        del job
-        results.put(error)
+            results.put(exc)
 
 
 def forward_batch(params, sizes, w_offs, b_offs, X):
-    """Net output per row of X; for a large X, the hidden layers run in two
-    row halves at once and the output layer on all rows."""
+    """Net output per row of X; a large X runs as two unsplit passes at once,
+    one per row half."""
     global _worker
     n = X.shape[0]
     # One worker serves one caller at a time, so no split while the process
     # has any other Python thread than the worker.
     if (n < _SPLIT_MIN_ROWS or _set_blas_threads is None
-            or threading.active_count() > 1 + (_worker is not None)
-            or len(set(sizes[1:-1])) != 1):
+            or threading.active_count() > 1 + (_worker is not None)):
         return _forward(params, sizes, w_offs, b_offs, X)
     if _worker is None:
         _worker = (queue.SimpleQueue(), queue.SimpleQueue())
         threading.Thread(target=_serve, args=_worker, name="quantmeu-forward",
                          daemon=True).start()
     jobs, results = _worker
-    hidden = np.empty((n, int(sizes[1])))
-    spare = np.empty_like(hidden)
     cut = n // 2 // _SPLIT_ALIGN * _SPLIT_ALIGN
-    jobs.put((params, sizes, w_offs, b_offs, X[:cut], (hidden[:cut], spare[:cut])))
+    jobs.put((params, sizes, w_offs, b_offs, X[:cut]))
     try:
-        _hidden(params, sizes, w_offs, b_offs, X[cut:], (hidden[cut:], spare[cut:]))
+        bottom = _forward(params, sizes, w_offs, b_offs, X[cut:])
     finally:
         try:
-            error = _next(results)
+            top = _next(results)
         except BaseException:
             # interrupted while waiting: this job's result would answer the
-            # next split, so the worker is dropped, and its thread, still
-            # alive, keeps later passes unsplit
+            # next split, so the worker is dropped and told to stop after it
+            jobs.put(None)
             _worker = None
             raise
-    if error is not None:
-        raise error
-    # The output layer runs on all rows in the caller, as the unsplit pass
-    # runs it, so the worker allocates no array of its own.
-    w, b = list(layer_views(params, sizes, w_offs, b_offs))[-1]
-    a = hidden @ w.T
-    a += b
-    return a[:, 0]
+    if isinstance(top, Exception):
+        raise top
+    return np.concatenate((top, bottom))
 
 
 def loss_grad_batch(params, sizes, w_offs, b_offs, X, y, tau):

@@ -174,16 +174,17 @@ needs_split = pytest.mark.skipif(K._set_blas_threads is None,
                                  reason="numpy's BLAS has no openblas_set_num_threads_local")
 
 
-def _split_matches_unsplit(seed, n):
-    sz, w_offs, b_offs, params, X, y, tau = make_case(seed, PRODUCTION, n)
+def _split_matches_unsplit(seed, n, sizes=PRODUCTION):
+    sz, w_offs, b_offs, params, X, y, tau = make_case(seed, sizes, n)
     got = K.forward_batch(params, sz, w_offs, b_offs, X)
     assert got.tobytes() == K._forward(params, sz, w_offs, b_offs, X).tobytes()
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12_000))
-def test_split_forward_matches_unsplit_bytes(seed, n):
-    _split_matches_unsplit(seed, n)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12_000),
+       sizes=st.sampled_from([PRODUCTION, (2, 32, 64, 16, 1), (3, 64, 64, 64, 1)]))
+def test_split_forward_matches_unsplit_bytes(seed, n, sizes):
+    _split_matches_unsplit(seed, n, sizes)
 
 
 @pytest.mark.parametrize("n", [511, 512, 513, 1000, 1025, 2047, 2048, 2049, 3071, 3072,
@@ -222,25 +223,25 @@ def test_import_holds_blas_to_one_thread():
 
 @needs_split
 def test_no_split_while_another_thread_runs_blas():
-    # one worker serves one caller at a time, so a split in one thread must
-    # leave another thread's large passes unsplit and their bytes unchanged
-    sz, w_offs, b_offs, params, X, y, tau = make_case(0, PRODUCTION, 7641)
-    want = K._forward(params, sz, w_offs, b_offs, X).tobytes()
-    X_split = make_case(43, PRODUCTION, 4096)[4]
-    stop = threading.Event()
+    # one worker serves one caller at a time: two threads' large passes at
+    # once must each get the outputs of their own rows
+    cases = [make_case(seed, PRODUCTION, n)[:5] for seed, n in ((41, 4096), (43, 5000))]
+    same = ([], [])
 
-    def split_passes():
-        while not stop.is_set():
-            K.forward_batch(params, sz, w_offs, b_offs, X_split)
+    def passes(i):
+        sz, w_offs, b_offs, params, X = cases[i]
+        want = K._forward(params, sz, w_offs, b_offs, X).tobytes()
+        for _ in range(200):
+            same[i].append(K.forward_batch(params, sz, w_offs, b_offs, X).tobytes() == want)
 
-    other = threading.Thread(target=split_passes)
+    other = threading.Thread(target=passes, args=(1,))
     other.start()
     try:
-        got = [K._forward(params, sz, w_offs, b_offs, X).tobytes() for _ in range(50)]
+        passes(0)
     finally:
-        stop.set()
-        other.join()
-    assert all(g == want for g in got)
+        other.join(120)
+    assert not other.is_alive()
+    assert same == ([True] * 200, [True] * 200)
 
 
 @pytest.mark.parametrize("n", [40, 144, 256])
@@ -278,6 +279,25 @@ for _ in range(100):
 print(threads() - before)
 """
 
+_SPLIT_AFTER_INTERRUPT = _SPLIT_SETUP + """
+want = K.forward_batch(params, sizes, w_offs, b_offs, X).tobytes()
+[worker] = [t for t in threading.enumerate() if t.name == "quantmeu-forward"]
+results, next_item = K._worker[1], K._next
+def interrupted(q):
+    if q is not results:
+        return next_item(q)
+    K._next = next_item
+    raise KeyboardInterrupt
+K._next = interrupted
+try:
+    K.forward_batch(params, sizes, w_offs, b_offs, X)
+except KeyboardInterrupt:
+    pass
+worker.join(10)
+got = K.forward_batch(params, sizes, w_offs, b_offs, X).tobytes()
+print(worker.is_alive(), K._worker is not None, got == want)
+"""
+
 _FORK_AFTER_SPLIT = _SPLIT_SETUP + """
 import select, signal
 want = K.forward_batch(params, sizes, w_offs, b_offs, X).tobytes()
@@ -307,7 +327,14 @@ def _run_script(script, **env_vars):
 
 @needs_split
 def test_split_forward_keeps_one_worker_thread():
-    assert int(_run_script(_THREADS_AFTER_SPLITS)) <= 1
+    assert int(_run_script(_THREADS_AFTER_SPLITS)) == 1
+
+
+@needs_split
+def test_split_forward_after_an_interrupted_wait():
+    # an interrupt while the caller waits drops the worker; its thread must
+    # then end, or the thread count keeps every later pass unsplit
+    assert _run_script(_SPLIT_AFTER_INTERRUPT).split() == ["False", "True", "True"]
 
 
 @needs_split
