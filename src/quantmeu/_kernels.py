@@ -1,20 +1,30 @@
 """Batch forward/backward kernels for the dense ReLU network.
 
 One numpy implementation; the layer matmuls run through BLAS. Each layer
-allocates one new array, `a @ w.T`, and takes the bias and ReLU in place;
-forward holds at most two layers. Backward masks delta in place, as
-ReLU(z) > 0 iff z > 0, and writes each gradient into its view of the flat
-vector. Subgradients: ReLU'(0) = 0, pinball'(0) = tau.
+allocates one new array, `a @ w.T`, and takes the bias and ReLU in place.
+Backward masks delta in place, as ReLU(z) > 0 iff z > 0, and writes each
+gradient into its view of the flat vector. Subgradients: ReLU'(0) = 0,
+pinball'(0) = tau.
+
+Row blocks: `_forward` runs its rows as consecutive blocks of
+`_BLOCK_ROWS` rows, the last block taking the remainder (1024-2047 rows),
+and writes each block's output into one output vector. It holds at most
+two layers of one block at a time, so its memory does not grow with the
+row count. Each block starts a multiple of 1024 rows into its pass, and no
+block is shorter than 1024 rows unless the whole pass is, so the bytes
+equal one whole pass's; a shorter tail block takes another OpenBLAS kernel
+path and gives other bytes. `loss_grad_batch` runs whole: its row sums
+would change bytes if cut.
 
 Two-thread forward: a batch of at least `_SPLIT_MIN_ROWS` rows is cut at a
 64-row boundary near its middle, and the two halves run as two whole
 unsplit passes at the same time, one on a worker thread started on first
-use and one in the caller; their outputs are joined. numpy's BLAS calls and
-ufuncs release the interpreter lock, so the bias adds and ReLUs run on both
-cores too. At one BLAS thread and with the cut on a 64-row boundary, a
-row's output does not depend on the rows that share its pass, so the bytes
-equal the unsplit pass's. While the process has another Python thread than
-the worker, the unsplit `_forward` runs.
+use and one in the caller, each writing its half of one output vector.
+numpy's BLAS calls and ufuncs release the interpreter lock, so the bias
+adds and ReLUs run on both cores too. At one BLAS thread and with the cut
+on a 64-row boundary, a row's output does not depend on the rows that
+share its pass, so the bytes equal the unsplit pass's. While the process
+has another Python thread than the worker, the unsplit `_forward` runs.
 `loss_grad_batch` never splits; training's validation pass, a
 `forward_batch`, splits where the validation set is large enough.
 
@@ -33,10 +43,9 @@ layer array from mmap, or trims it off the heap top, until it has seen a
 larger free, and the next pass faults every page back in: 873-1009 minor
 faults per 4096-row forward pass of 2-64-64-64-1 and 133-148 per 256-row
 loss and gradient, against 0-4 with the thresholds set (forward 4.4-5.1 ms
--> 2.9-3.0 ms on a 2-vCPU host). Two alternatives lost: per-layer buffers kept here gained
-less and raised normal-normal peak RSS by 4.9-8.7%, and row chunks run as
-whole passes changed the forward bytes unless cut on 64-row boundaries.
-Where mallopt is missing nothing is set.
+-> 2.9-3.0 ms on a 2-vCPU host). Per-layer buffers kept here lost: they
+gained less and raised normal-normal peak RSS by 4.9-8.7%. Where mallopt is
+missing nothing is set.
 
 Parameters are stored as one flat float64 vector: for each layer, the
 weight matrix in row-major (out, in) order followed by the bias vector.
@@ -128,15 +137,25 @@ def _activations(params, sizes, w_offs, b_offs, X):
         yield a
 
 
-def _forward(params, sizes, w_offs, b_offs, X):
-    for a in _activations(params, sizes, w_offs, b_offs, X):
-        pass
-    return a[:, 0]
+# `_forward`'s row block; the last block takes the remainder (see above)
+_BLOCK_ROWS = 1024
+
+
+def _forward(params, sizes, w_offs, b_offs, X, out):
+    """Net output per row of X written into out, one row block at a time."""
+    n = X.shape[0]
+    starts = range(0, max(n - _BLOCK_ROWS, 0) + 1, _BLOCK_ROWS)
+    for start, stop in zip(starts, [*starts[1:], n]):
+        for a in _activations(params, sizes, w_offs, b_offs, X[start:stop]):
+            pass
+        out[start:stop] = a[:, 0]
+    return out
 
 
 # Split/unsplit time per call on a 2-vCPU host, 2-64-64-64-1, both at one
-# BLAS thread (medians over 8 processes): 1024 rows 0.78, 3072 0.56, 4096
-# 0.55, 10,000 0.56. Below 3072 rows the gain is not yet measured end to end.
+# BLAS thread, measured on whole passes before row blocks (medians over 8
+# processes): 1024 rows 0.78, 3072 0.56, 4096 0.55, 10,000 0.56. Below 3072
+# rows the gain is not yet measured end to end.
 _SPLIT_MIN_ROWS = 3072
 _SPLIT_ALIGN = 64
 # Both sides of a split poll for this long before they block: waking a
@@ -169,8 +188,9 @@ def _next(q):
 
 
 def _serve(jobs, results):
-    """The worker thread: runs one unsplit pass per job and answers its
-    output or the error it raised, until a None job stops it."""
+    """The worker thread: runs one unsplit pass per job into the job's output
+    vector and answers that or the error it raised, until a None job stops
+    it."""
     while (job := _next(jobs)) is not None:
         try:
             results.put(_forward(*job))
@@ -179,24 +199,25 @@ def _serve(jobs, results):
 
 
 def forward_batch(params, sizes, w_offs, b_offs, X):
-    """Net output per row of X; a large X runs as two unsplit passes at once,
-    one per row half."""
+    """Net output per row of X, in one new vector; a large X runs as two
+    unsplit passes at once, each writing its row half of that vector."""
     global _worker
     n = X.shape[0]
+    out = np.empty(n)
     # One worker serves one caller at a time, so no split while the process
     # has any other Python thread than the worker.
     if (n < _SPLIT_MIN_ROWS or _set_blas_threads is None
             or threading.active_count() > 1 + (_worker is not None)):
-        return _forward(params, sizes, w_offs, b_offs, X)
+        return _forward(params, sizes, w_offs, b_offs, X, out)
     if _worker is None:
         _worker = (queue.SimpleQueue(), queue.SimpleQueue())
         threading.Thread(target=_serve, args=_worker, name="quantmeu-forward",
                          daemon=True).start()
     jobs, results = _worker
     cut = n // 2 // _SPLIT_ALIGN * _SPLIT_ALIGN
-    jobs.put((params, sizes, w_offs, b_offs, X[:cut]))
+    jobs.put((params, sizes, w_offs, b_offs, X[:cut], out[:cut]))
     try:
-        bottom = _forward(params, sizes, w_offs, b_offs, X[cut:])
+        _forward(params, sizes, w_offs, b_offs, X[cut:], out[cut:])
     finally:
         try:
             top = _next(results)
@@ -208,7 +229,7 @@ def forward_batch(params, sizes, w_offs, b_offs, X):
             raise
     if isinstance(top, Exception):
         raise top
-    return np.concatenate((top, bottom))
+    return out
 
 
 def loss_grad_batch(params, sizes, w_offs, b_offs, X, y, tau):

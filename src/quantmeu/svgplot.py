@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -19,6 +18,13 @@ HEIGHT = 600
 MARGIN = {"left": 70, "right": 30, "top": 50, "bottom": 55}
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
+
+
+def _escape(s: str) -> str:
+    """Text escaped for XML, as `xml.sax.saxutils.escape` does it: `&`, then
+    `>`, then `<`. That module imports `urllib.request`, which cost 23-36 ms
+    of `import quantmeu` on a 2-vCPU host."""
+    return s.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 @dataclass
@@ -94,7 +100,7 @@ class _Doc:
         transform = f' transform="rotate(-90 {x:.1f} {y:.1f})"' if rotate else ""
         self.add(f'<text x="{x:.1f}" y="{y:.1f}" font-family="sans-serif" '
                  f'font-size="{size}" fill="{color}" text-anchor="{anchor}"'
-                 f'{transform}>{escape(s)}</text>\n')
+                 f'{transform}>{_escape(s)}</text>\n')
 
     def line(self, x1, y1, x2, y2, color="#000000", width=1.0, dashed=False):
         dash = ' stroke-dasharray="6 4"' if dashed else ""

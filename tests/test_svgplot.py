@@ -1,10 +1,15 @@
 """Hand-rolled SVG output: document structure, escaping, validation."""
 
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
 
+from quantmeu import svgplot
 from quantmeu.svgplot import Series, VLine, line_plot
 
 
@@ -41,6 +46,21 @@ def test_line_plot_escapes_markup(tmp_path):
     assert "a<b&c" not in text
     assert "a&lt;b&amp;c" in text
     ET.fromstring(text)
+
+
+@pytest.mark.parametrize("s", ["", "plain", "a<b&c", "&lt;", "x > y >> z", "<&>&&<<>>;"])
+def test_escape_matches_saxutils(s):
+    assert svgplot._escape(s) == escape(s)
+
+
+def test_import_leaves_urllib_out():
+    # xml.sax.saxutils imports urllib.request, and with it http.client,
+    # email, ssl and socket; a fresh process, since pytest may have loaded it
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(svgplot.__file__)))
+    out = subprocess.run([sys.executable, "-c", "import sys, quantmeu; "
+                          "print('urllib.request' in sys.modules)"],
+                         env=env, check=True, capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_series_validation():
