@@ -16,17 +16,16 @@ equal one whole pass's; a shorter tail block takes another OpenBLAS kernel
 path and gives other bytes. `loss_grad_batch` runs whole: its row sums
 would change bytes if cut.
 
-Two-thread forward: a batch of at least `_SPLIT_MIN_ROWS` rows is cut at a
-64-row boundary near its middle, and the two halves run as two whole
-unsplit passes at the same time, one on a worker thread started on first
-use and one in the caller, each writing its half of one output vector.
-numpy's BLAS calls and ufuncs release the interpreter lock, so the bias
-adds and ReLUs run on both cores too. At one BLAS thread and with the cut
-on a 64-row boundary, a row's output does not depend on the rows that
-share its pass, so the bytes equal the unsplit pass's. While the process
-has another Python thread than the worker, the unsplit `_forward` runs.
-`loss_grad_batch` never splits; training's validation pass, a
-`forward_batch`, splits where the validation set is large enough.
+Two-thread forward: a batch of at least `_SPLIT_MIN_ROWS` rows is cut at
+the multiple of 64 nearest below its middle, and the halves run as two
+whole unsplit passes at once, one on a worker thread and one in the
+caller, each writing its half of one output vector. Each split sends the
+worker its job with a new answer queue, so no caller takes another's
+answer; both sides poll for `_POLL_S` before they block. A split starts a
+worker when there is none or its thread is not alive, as in a forked
+child. At one BLAS thread and with the cut on a 64-row boundary, a row's
+output does not depend on the rows that share its pass, so the bytes equal
+the unsplit pass's. `loss_grad_batch` never splits.
 
 BLAS thread policy: at import, OpenBLAS is set to one thread for the whole
 process, through `openblas_set_num_threads_local`; nothing here changes it
@@ -54,7 +53,6 @@ weight matrix in row-major (out, in) order followed by the bias vector.
 from __future__ import annotations
 
 import ctypes
-import os
 import queue
 import threading
 import time
@@ -163,17 +161,7 @@ _SPLIT_ALIGN = 64
 # EU-like loop of 4096-row passes from 0.85-0.94x of the unsplit time to
 # 0.77-0.90x. About two EU queries' worth of time.
 _POLL_S = 0.005
-_worker = None
-
-
-def _drop_worker():
-    """A forked child has no copy of the worker thread; start a new one."""
-    global _worker
-    _worker = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_worker)
+_worker = None  # (thread, job queue)
 
 
 def _next(q):
@@ -187,15 +175,15 @@ def _next(q):
     return q.get()
 
 
-def _serve(jobs, results):
+def _serve(jobs):
     """The worker thread: runs one unsplit pass per job into the job's output
-    vector and answers that or the error it raised, until a None job stops
-    it."""
-    while (job := _next(jobs)) is not None:
+    vector and puts that, or the error it raised, on the job's answer queue."""
+    while True:
+        *job, answer = _next(jobs)
         try:
-            results.put(_forward(*job))
+            answer.put(_forward(*job))
         except Exception as exc:  # raised again in the caller
-            results.put(exc)
+            answer.put(exc)
 
 
 def forward_batch(params, sizes, w_offs, b_offs, X):
@@ -204,41 +192,39 @@ def forward_batch(params, sizes, w_offs, b_offs, X):
     global _worker
     n = X.shape[0]
     out = np.empty(n)
-    # One worker serves one caller at a time, so no split while the process
-    # has any other Python thread than the worker.
-    if (n < _SPLIT_MIN_ROWS or _set_blas_threads is None
-            or threading.active_count() > 1 + (_worker is not None)):
+    if n < _SPLIT_MIN_ROWS or _set_blas_threads is None:
         return _forward(params, sizes, w_offs, b_offs, X, out)
-    if _worker is None:
-        _worker = (queue.SimpleQueue(), queue.SimpleQueue())
-        threading.Thread(target=_serve, args=_worker, name="quantmeu-forward",
-                         daemon=True).start()
-    jobs, results = _worker
+    worker = _worker
+    # a forked child sees the parent's worker thread as stopped
+    if worker is None or not worker[0].is_alive():
+        jobs = queue.SimpleQueue()
+        thread = threading.Thread(target=_serve, args=(jobs,), name="quantmeu-forward",
+                                  daemon=True)
+        thread.start()
+        worker = _worker = (thread, jobs)
     cut = n // 2 // _SPLIT_ALIGN * _SPLIT_ALIGN
-    jobs.put((params, sizes, w_offs, b_offs, X[:cut], out[:cut]))
+    answer = queue.SimpleQueue()
+    worker[1].put((params, sizes, w_offs, b_offs, X[:cut], out[:cut], answer))
     try:
         _forward(params, sizes, w_offs, b_offs, X[cut:], out[cut:])
     finally:
-        try:
-            top = _next(results)
-        except BaseException:
-            # interrupted while waiting: this job's result would answer the
-            # next split, so the worker is dropped and told to stop after it
-            jobs.put(None)
-            _worker = None
-            raise
+        top = _next(answer)
     if isinstance(top, Exception):
         raise top
     return out
 
 
+def pinball(e, tau):
+    """Mean pinball loss of the residuals e = y - prediction."""
+    return float(np.mean(np.where(e < 0.0, (tau - 1.0) * e, tau * e)))
+
+
 def loss_grad_batch(params, sizes, w_offs, b_offs, X, y, tau):
     acts = [X, *_activations(params, sizes, w_offs, b_offs, X)]
     e = y - acts[-1][:, 0]
-    neg = e < 0.0
-    loss = float(np.mean(np.where(neg, (tau - 1.0) * e, tau * e)))
+    loss = pinball(e, tau)
     # d(loss)/d(pred); at e == 0 the subgradient convention gives -tau.
-    dpred = np.where(neg, 1.0 - tau, -tau) / X.shape[0]
+    dpred = np.where(e < 0.0, 1.0 - tau, -tau) / X.shape[0]
 
     grad = np.empty_like(params)
     layers = list(zip(layer_views(params, sizes, w_offs, b_offs),

@@ -17,6 +17,8 @@ from .errors import DataError, DomainError, NumericError, SimulationError
 from .special import normal_quantile
 
 _TINY = 2.0 ** -54
+# the largest draw, 1 - 2**-53, plus _TINY rounds to 1.0
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 @dataclass
@@ -43,7 +45,7 @@ class RandomSource:
         """n open-interval uniforms in (0,1)."""
         if n < 0:
             raise ValueError("n must be nonnegative")
-        return self._gen.random(n) + _TINY
+        return np.minimum(self._gen.random(n) + _TINY, _BELOW_ONE)
 
     def normal(self, n: int, mean: float = 0.0, sd: float = 1.0) -> np.ndarray:
         """Gaussian draws via the inverse-CDF transform of open uniforms.

@@ -162,8 +162,7 @@ class TrainHistory:
 
 def _pinball_mean(params, sizes, w_offs, b_offs, X, y, tau):
     pred = _kernels.forward_batch(params, sizes, w_offs, b_offs, X)
-    e = y - pred
-    return float(np.mean(np.where(e < 0.0, (tau - 1.0) * e, tau * e)))
+    return _kernels.pinball(y - pred, tau)
 
 
 def train(net: DenseNet, X, y, tau, config: TrainConfig = None):

@@ -236,10 +236,14 @@ def test_import_holds_blas_to_one_thread():
     assert out == ["1", "1"]
 
 
+def _forward_workers():
+    return sum(t.name == "quantmeu-forward" for t in threading.enumerate())
+
+
 @needs_split
-def test_no_split_while_another_thread_runs_blas():
-    # one worker serves one caller at a time: two threads' large passes at
-    # once must each get the outputs of their own rows
+def test_two_threads_split_through_one_worker():
+    # each split gets its answer on a queue of its own: two threads' large
+    # passes at once, through the one worker, each get their own rows' outputs
     cases = [make_case(seed, PRODUCTION, n)[:5] for seed, n in ((41, 4096), (43, 5000))]
     same = ([], [])
 
@@ -249,6 +253,8 @@ def test_no_split_while_another_thread_runs_blas():
         for _ in range(200):
             same[i].append(K.forward_batch(params, sz, w_offs, b_offs, X).tobytes() == want)
 
+    sz, w_offs, b_offs, params, X = cases[0]
+    K.forward_batch(params, sz, w_offs, b_offs, X)  # start the worker first
     other = threading.Thread(target=passes, args=(1,))
     other.start()
     try:
@@ -257,6 +263,27 @@ def test_no_split_while_another_thread_runs_blas():
         other.join(120)
     assert not other.is_alive()
     assert same == ([True] * 200, [True] * 200)
+    assert _forward_workers() == 1
+
+
+@needs_split
+def test_split_forward_raises_the_workers_error(monkeypatch):
+    # an error in the worker's half is raised in the caller, and the next
+    # split still runs both halves
+    sz, w_offs, b_offs, params, X = make_case(47, PRODUCTION, 4096)[:5]
+    forward = K._forward
+
+    def fails_in_worker(*args):
+        if threading.current_thread().name == "quantmeu-forward":
+            raise FloatingPointError("worker half")
+        return forward(*args)
+
+    monkeypatch.setattr(K, "_forward", fails_in_worker)
+    with pytest.raises(FloatingPointError, match="worker half"):
+        K.forward_batch(params, sz, w_offs, b_offs, X)
+    monkeypatch.undo()
+    got = K.forward_batch(params, sz, w_offs, b_offs, X)
+    assert got.tobytes() == _whole_pass(params, sz, w_offs, b_offs, X).tobytes()
 
 
 @pytest.mark.parametrize("n", [40, 144, 256])
@@ -295,11 +322,13 @@ print(threads() - before)
 """
 
 _SPLIT_AFTER_INTERRUPT = _SPLIT_SETUP + """
-want = K.forward_batch(params, sizes, w_offs, b_offs, X).tobytes()
-[worker] = [t for t in threading.enumerate() if t.name == "quantmeu-forward"]
-results, next_item = K._worker[1], K._next
+for a in K._activations(params, sizes, w_offs, b_offs, X):
+    pass
+want = a[:, 0].tobytes()
+next_item = K._next
 def interrupted(q):
-    if q is not results:
+    # the caller's first wait for the worker's answer is interrupted
+    if threading.current_thread().name == "quantmeu-forward":
         return next_item(q)
     K._next = next_item
     raise KeyboardInterrupt
@@ -307,10 +336,9 @@ K._next = interrupted
 try:
     K.forward_batch(params, sizes, w_offs, b_offs, X)
 except KeyboardInterrupt:
-    pass
-worker.join(10)
+    print("interrupted")
 got = K.forward_batch(params, sizes, w_offs, b_offs, X).tobytes()
-print(worker.is_alive(), K._worker is not None, got == want)
+print(got == want, sum(t.name == "quantmeu-forward" for t in threading.enumerate()))
 """
 
 _FORK_AFTER_SPLIT = _SPLIT_SETUP + """
@@ -347,16 +375,16 @@ def test_split_forward_keeps_one_worker_thread():
 
 @needs_split
 def test_split_forward_after_an_interrupted_wait():
-    # an interrupt while the caller waits drops the worker; its thread must
-    # then end, or the thread count keeps every later pass unsplit
-    assert _run_script(_SPLIT_AFTER_INTERRUPT).split() == ["False", "True", "True"]
+    # the interrupted split's late answer goes to its own queue, so the next
+    # split gets its own rows' outputs from the same worker
+    assert _run_script(_SPLIT_AFTER_INTERRUPT).split() == ["interrupted", "True", "1"]
 
 
 @needs_split
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_split_forward_in_forked_child():
-    # the child inherits the parent's worker object but not its thread;
-    # without the fork hook its first split waits for that thread forever
+    # the child inherits the parent's worker object but not its thread,
+    # which it sees as stopped; its first split starts a worker of its own
     assert _run_script(_FORK_AFTER_SPLIT) == "same"
 
 

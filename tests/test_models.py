@@ -9,6 +9,7 @@ from quantmeu import NormalNormalModel, PortfolioProblem, summary_mean
 from quantmeu.errors import DataError, DomainError, NumericError, SimulationError
 from quantmeu.models import (RandomSource, UtilitySpec, cara_utility,
                              portfolio_wealth, simulate_pairs)
+from quantmeu.special import normal_quantile
 
 
 # ---------------------------------------------------------------------------
@@ -27,10 +28,24 @@ def test_random_source_streams_differ():
     assert not np.array_equal(a, b)
 
 
+class _EdgeDraws:
+    """A generator stub that returns Philox's smallest and largest draws."""
+
+    def random(self, n):
+        return np.array([0.0, 1.0 - 2.0 ** -53])
+
+
 def test_uniform_open_interval():
     u = RandomSource(0).uniform(10000)
     assert np.all(u > 0.0)
     assert np.all(u < 1.0)
+    # 1 - 2**-53 + 2**-54 rounds half-to-even to 1.0, which normal_quantile
+    # refuses; the top draw is capped just below it
+    source = RandomSource(0)
+    source._gen = _EdgeDraws()
+    u = source.uniform(2)
+    assert u.tolist() == [2.0 ** -54, 1.0 - 2.0 ** -53]
+    assert np.all(np.isfinite(normal_quantile(u)))
 
 
 def test_normal_moments_and_coupling():
