@@ -215,16 +215,18 @@ def forward_batch(params, sizes, w_offs, b_offs, X):
 
 
 def pinball(e, tau):
-    """Mean pinball loss of the residuals e = y - prediction."""
-    return float(np.mean(np.where(e < 0.0, (tau - 1.0) * e, tau * e)))
+    """Mean pinball loss of the residuals e = y - prediction, and each row's
+    slope q of that loss in e: tau where e >= 0, tau - 1 where e < 0."""
+    q = tau - (e < 0.0)
+    return float(np.mean(q * e)), q
 
 
 def loss_grad_batch(params, sizes, w_offs, b_offs, X, y, tau):
     acts = [X, *_activations(params, sizes, w_offs, b_offs, X)]
     e = y - acts[-1][:, 0]
-    loss = pinball(e, tau)
+    loss, q = pinball(e, tau)
     # d(loss)/d(pred); at e == 0 the subgradient convention gives -tau.
-    dpred = np.where(e < 0.0, 1.0 - tau, -tau) / X.shape[0]
+    dpred = q / -X.shape[0]
 
     grad = np.empty_like(params)
     layers = list(zip(layer_views(params, sizes, w_offs, b_offs),
@@ -235,6 +237,7 @@ def loss_grad_batch(params, sizes, w_offs, b_offs, X, y, tau):
         np.matmul(delta.T, acts[l], out=gw)
         np.sum(delta, axis=0, out=gb)
         if l > 0:
-            delta = delta @ w
+            # the output layer's delta has one column: a product, not a K=1 matmul
+            delta = delta * w if l == len(layers) - 1 else delta @ w
             delta *= acts[l] > 0.0
     return loss, grad

@@ -162,7 +162,7 @@ class TrainHistory:
 
 def _pinball_mean(params, sizes, w_offs, b_offs, X, y, tau):
     pred = _kernels.forward_batch(params, sizes, w_offs, b_offs, X)
-    return _kernels.pinball(y - pred, tau)
+    return _kernels.pinball(y - pred, tau)[0]
 
 
 def train(net: DenseNet, X, y, tau, config: TrainConfig = None):

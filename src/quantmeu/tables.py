@@ -6,6 +6,9 @@ CSV files carry the fixed header ``theta,summary,decision,utility,tau``
 with blanks for absent columns and 17 significant digits per float so
 values round-trip bit for bit. Every CSV and JSON artifact the package
 writes or reads goes through `write_csv`, `write_json` and `read_json`.
+`write_csv` writes the header with `csv.writer` and every row from one
+template, ``%.17g`` per column, filled from the row's floats; the bytes
+are those `csv.writer` writes for cells formatted as ``format(v, ".17g")``.
 """
 
 from __future__ import annotations
@@ -23,15 +26,21 @@ CSV_HEADER = ("theta", "summary", "decision", "utility", "tau")
 
 
 def write_csv(path, header, columns) -> None:
-    """Rows across `columns`, floats at 17 significant digits, a None column blank."""
-    n = len(next(col for col in columns if col is not None))
-    cells = [[""] * n if col is None
-             else [format(v, ".17g") for v in np.asarray(col, dtype=np.float64).tolist()]
-             for col in columns]
+    """Rows across `columns`, floats at 17 significant digits, a None column blank.
+
+    Each row fills one template, "%.17g" or an empty field per column and
+    CRLF at the end: what `csv.writer` writes for cells that need no quotes.
+    """
+    cols = [None if col is None else np.asarray(col, dtype=np.float64) for col in columns]
+    present = [col for col in cols if col is not None]
+    if len(header) != len(cols):
+        raise ShapeError(f"header names {len(header)} fields for {len(cols)} columns")
+    if not present or any(col.ndim != 1 or col.shape != present[0].shape for col in present):
+        raise ShapeError("columns must be one or more 1-D arrays of one length")
+    template = ",".join("" if col is None else "%.17g" for col in cols) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*cells))
+        csv.writer(fh).writerow(header)
+        fh.writelines(template % row for row in zip(*(col.tolist() for col in present)))
 
 
 def write_json(path, doc) -> None:

@@ -286,6 +286,42 @@ def test_split_forward_raises_the_workers_error(monkeypatch):
     assert got.tobytes() == _whole_pass(params, sz, w_offs, b_offs, X).tobytes()
 
 
+def where_loss_grad(params, sizes, w_offs, b_offs, X, y, tau):
+    """loss_grad_batch as it was: two np.where expressions for the loss and
+    its subgradient, and a K=1 matmul for the output layer's delta."""
+    acts = [X, *K._activations(params, sizes, w_offs, b_offs, X)]
+    e = y - acts[-1][:, 0]
+    loss = float(np.mean(np.where(e < 0.0, (tau - 1.0) * e, tau * e)))
+    delta = (np.where(e < 0.0, 1.0 - tau, -tau) / X.shape[0])[:, None]
+    grad = np.empty_like(params)
+    layers = list(zip(K.layer_views(params, sizes, w_offs, b_offs),
+                      K.layer_views(grad, sizes, w_offs, b_offs)))
+    for l in range(len(layers) - 1, -1, -1):
+        (w, _), (gw, gb) = layers[l]
+        np.matmul(delta.T, acts[l], out=gw)
+        np.sum(delta, axis=0, out=gb)
+        if l > 0:
+            delta = delta @ w
+            delta *= acts[l] > 0.0
+    return loss, grad
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300), ties=st.integers(0, 300),
+       sizes=st.sampled_from([PRODUCTION, (2, 8, 1), (3, 16, 16, 1)]))
+def test_loss_head_matches_where_expressions(seed, n, ties, sizes):
+    sz, w_offs, b_offs, params, X, y, tau = make_case(seed, sizes, n)
+    # the first `ties` rows get e == 0, where the subgradient is -tau / n
+    y[:ties] = K.forward_batch(params, sz, w_offs, b_offs, X)[:ties]
+    loss, grad = K.loss_grad_batch(params, sz, w_offs, b_offs, X, y, tau)
+    old_loss, old_grad = where_loss_grad(params, sz, w_offs, b_offs, X, y, tau)
+    assert np.float64(loss).tobytes() == np.float64(old_loss).tobytes()
+    assert grad.tobytes() == old_grad.tobytes()
+    # e = -0.0 does not come out of y - prediction; test it on the loss alone
+    e = np.where(np.arange(n) % 3 == 0, -0.0, y - X[:, 0])
+    assert K.pinball(e, tau)[0] == float(np.mean(np.where(e < 0.0, (tau - 1.0) * e, tau * e)))
+
+
 @pytest.mark.parametrize("n", [40, 144, 256])
 def test_split_forward_leaves_training_gradients_alone(n):
     # training's batch shapes at bench and preset scale: a split between two
