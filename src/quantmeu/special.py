@@ -68,15 +68,14 @@ def normal_quantile(p):
     if not np.all((p > 0.0) & (p < 1.0)):
         raise DomainError("normal_quantile requires all p in (0,1)")
     q = p - 0.5
-    out = np.empty_like(p)
+    # the central rational on every p, harmless outside |q| <= 0.425 (there
+    # r > -0.0694 and _B has no root above -0.0729); the tail overwrites those
+    r = 0.180625 - q ** 2
+    out = _poly(_A, r)
+    out *= q
+    out /= _poly(_B, r)
 
-    central = np.abs(q) <= 0.425
-    if np.any(central):
-        qc = q[central]
-        r = 0.180625 - qc ** 2
-        out[central] = qc * _poly(_A, r) / _poly(_B, r)
-
-    tail = ~central
+    tail = np.abs(q) > 0.425
     if np.any(tail):
         pt = p[tail]
         qt = q[tail]

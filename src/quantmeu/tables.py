@@ -9,13 +9,21 @@ writes or reads goes through `write_csv`, `write_json` and `read_json`.
 `write_csv` writes the header with `csv.writer` and every row from one
 template, ``%.17g`` per column, filled from the row's floats; the bytes
 are those `csv.writer` writes for cells formatted as ``format(v, ".17g")``.
+
+Both directions go through rows in blocks of `_CSV_BLOCK_ROWS`, so a
+table's Python floats (writing) or cell strings (reading) exist for one
+block at a time; only the 8-byte values grow with the row count. The
+preset's 100,000-row tables would otherwise hold half a million string
+cells at once, several times the memory of the columns they parse to.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from array import array
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -23,6 +31,7 @@ import numpy as np
 from .errors import DataError, DomainError, ShapeError
 
 CSV_HEADER = ("theta", "summary", "decision", "utility", "tau")
+_CSV_BLOCK_ROWS = 1024   # rows formatted or parsed at a time
 
 
 def write_csv(path, header, columns) -> None:
@@ -40,7 +49,9 @@ def write_csv(path, header, columns) -> None:
     template = ",".join("" if col is None else "%.17g" for col in cols) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
-        fh.writelines(template % row for row in zip(*(col.tolist() for col in present)))
+        for start in range(0, present[0].shape[0], _CSV_BLOCK_ROWS):
+            block = (col[start:start + _CSV_BLOCK_ROWS].tolist() for col in present)
+            fh.writelines(template % row for row in zip(*block))
 
 
 def write_json(path, doc) -> None:
@@ -120,34 +131,48 @@ class TrainingTable:
 
     @classmethod
     def from_csv(cls, path) -> "TrainingTable":
+        """The table in `path`, read in blocks of `_CSV_BLOCK_ROWS` rows.
+
+        A bad row raises at once; blank counts and each column's first parse
+        error are kept until the last row, then checked column by column.
+        """
+        width = len(CSV_HEADER)
+        values = [array("d") for _ in CSV_HEADER]
+        blanks = [0] * width
+        errors = [None] * width
+        n = 0
         try:
             with open(path, "r", newline="", encoding="utf-8") as fh:
                 reader = csv.reader(fh)
                 header = tuple(next(reader, ()))
                 if header != CSV_HEADER:
                     raise DataError(f"unexpected CSV header {header!r}")
-                cols = {name: [] for name in CSV_HEADER}
-                for line_no, row in enumerate(reader, start=2):
-                    if len(row) != len(CSV_HEADER):
-                        raise DataError(f"line {line_no}: expected {len(CSV_HEADER)} fields")
-                    for name, cell in zip(CSV_HEADER, row):
-                        cols[name].append(cell)
+                while block := list(islice(reader, _CSV_BLOCK_ROWS)):
+                    for line_no, row in enumerate(block, start=n + 2):
+                        if len(row) != width:
+                            raise DataError(f"line {line_no}: expected {width} fields")
+                    n += len(block)
+                    for j, cells in enumerate(zip(*block)):
+                        blanks[j] += cells.count("")
+                        if errors[j] is None:
+                            try:
+                                values[j].extend(map(float, cells))
+                            except ValueError as exc:
+                                errors[j] = exc
         except (UnicodeDecodeError, csv.Error) as exc:
             raise DataError(f"table CSV is unreadable: {exc}") from None
-        if not cols["theta"]:
+        if n == 0:
             raise DataError("CSV contains no data rows")
 
         def parse(name, optional=False):
-            cells = cols[name]
-            blank = [c == "" for c in cells]
-            if optional and all(blank):
+            j = CSV_HEADER.index(name)
+            if optional and blanks[j] == n:
                 return None
-            if any(blank):
+            if blanks[j]:
                 raise DataError(f"column {name} mixes blank and present values")
-            try:
-                return np.array([float(c) for c in cells])
-            except ValueError as exc:
-                raise DataError(f"column {name}: {exc}") from None
+            if errors[j] is not None:
+                raise DataError(f"column {name}: {errors[j]}") from None
+            return np.frombuffer(values[j], dtype=np.float64)
 
         return cls(theta=parse("theta"), summary=parse("summary"),
                    tau=parse("tau"), decision=parse("decision", optional=True),

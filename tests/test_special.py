@@ -11,9 +11,11 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantmeu import normal_quantile
-from quantmeu.special import normal_cdf
+from quantmeu.special import _A, _B, _C, _D, _E, _F, _poly, normal_cdf
 from quantmeu.errors import DomainError
 
 mp.mp.dps = 50
@@ -105,3 +107,45 @@ def test_normal_quantile_array_domain():
         normal_quantile(np.array([0.5, 1.0]))
     with pytest.raises(DomainError):
         normal_quantile(np.array([0.5, math.nan]))
+
+
+def masked_quantile_oracle(p):
+    """normal_quantile as it was: the central rational only on the gathered
+    central p, scattered back, and the tail on the rest."""
+    q = p - 0.5
+    out = np.empty_like(p)
+    central = np.abs(q) <= 0.425
+    if np.any(central):
+        qc = q[central]
+        r = 0.180625 - qc ** 2
+        out[central] = qc * _poly(_A, r) / _poly(_B, r)
+    tail = ~central
+    if np.any(tail):
+        pt = p[tail]
+        qt = q[tail]
+        r = np.sqrt(-np.log(np.where(qt < 0.0, pt, 1.0 - pt)))
+        val = np.empty_like(r)
+        near = r <= 5.0
+        if np.any(near):
+            rn = r[near] - 1.6
+            val[near] = _poly(_C, rn) / _poly(_D, rn)
+        far = ~near
+        if np.any(far):
+            rf = r[far] - 5.0
+            val[far] = _poly(_E, rf) / _poly(_F, rf)
+        out[tail] = np.where(qt < 0.0, -val, val)
+    return out
+
+
+# both sides of the central/tail boundary |p - 0.5| = 0.425, both tail
+# branches and the smallest doubles
+BRANCH_POINTS = [0.075, 0.925, np.nextafter(0.075, 0), np.nextafter(0.075, 1),
+                 np.nextafter(0.925, 0), np.nextafter(0.925, 1), 0.5, 1e-300, 5e-324,
+                 1 - 2 ** -53, 2 ** -53]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(min_value=5e-324, max_value=1 - 2 ** -53), min_size=1, max_size=64))
+def test_normal_quantile_matches_masked_oracle(ps):
+    p = np.array(ps + BRANCH_POINTS)
+    assert normal_quantile(p).tobytes() == masked_quantile_oracle(p).tobytes()

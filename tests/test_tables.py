@@ -1,13 +1,18 @@
-"""TrainingTable validation, CSV round trips and the CSV writer's bytes."""
+"""TrainingTable validation, CSV round trips, the CSV writer's bytes and
+the block reader against the whole-file reader it replaced."""
 
 import csv
+import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quantmeu.tables import TrainingTable, write_csv
+from quantmeu.presets import PORTFOLIO
+from quantmeu.repro import ExperimentConfig, simulate_table
+from quantmeu.tables import CSV_HEADER, TrainingTable, write_csv
 from quantmeu.errors import DataError, DomainError, ShapeError
 
 
@@ -192,3 +197,131 @@ def test_csv_roundtrip_keeps_every_bit_pattern(tmp_path_factory, rows, utility):
     csv_writer_oracle(path.with_name("old.csv"), ["theta", "summary", "decision", "utility", "tau"],
                       [t.theta, t.summary[:, 0], t.decision, t.utility, t.tau])
     assert path.read_bytes() == path.with_name("old.csv").read_bytes()
+
+
+def csv_reader_oracle(path):
+    """The reader as it was: every cell of the file held as a string, then
+    each column checked for blanks and parsed whole. Returns the five
+    columns (None for an all-blank optional one) or the DataError message."""
+    try:
+        with open(path, "r", newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = tuple(next(reader, ()))
+            if header != CSV_HEADER:
+                raise DataError(f"unexpected CSV header {header!r}")
+            cols = {name: [] for name in CSV_HEADER}
+            for line_no, row in enumerate(reader, start=2):
+                if len(row) != len(CSV_HEADER):
+                    raise DataError(f"line {line_no}: expected {len(CSV_HEADER)} fields")
+                for name, cell in zip(CSV_HEADER, row):
+                    cols[name].append(cell)
+        if not cols["theta"]:
+            raise DataError("CSV contains no data rows")
+
+        def parse(name, optional=False):
+            cells = cols[name]
+            blank = [c == "" for c in cells]
+            if optional and all(blank):
+                return None
+            if any(blank):
+                raise DataError(f"column {name} mixes blank and present values")
+            try:
+                return np.array([float(c) for c in cells])
+            except ValueError as exc:
+                raise DataError(f"column {name}: {exc}") from None
+
+        return (parse("theta"), parse("summary"), parse("tau"),
+                parse("decision", optional=True), parse("utility", optional=True))
+    except DataError as exc:
+        return str(exc)
+
+
+def assert_reads_as_oracle(path):
+    expected = csv_reader_oracle(path)
+    if isinstance(expected, str):
+        with pytest.raises(DataError) as exc:
+            TrainingTable.from_csv(path)
+        assert str(exc.value) == expected
+        return
+    back = TrainingTable.from_csv(path)
+    for col, want in zip((back.theta, back.summary[:, 0], back.tau, back.decision,
+                          back.utility), expected):
+        assert (col is None) == (want is None)
+        assert col is None or col.tobytes() == want.tobytes()
+
+
+# one block, and one row short of, at, past and well past a block boundary
+@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2049, 3000])
+@pytest.mark.parametrize("make", [utility_table, posterior_table], ids=["utility", "posterior"])
+def test_from_csv_matches_whole_file_reader(tmp_path, n, make):
+    path = tmp_path / "t.csv"
+    make(n, seed=n).to_csv(path)
+    assert_reads_as_oracle(path)
+
+
+def _edited_table(tmp_path, edits, n=3000):
+    """A utility table CSV of n rows with line -> replacement line edits
+    (the header is line 1)."""
+    path = tmp_path / "t.csv"
+    utility_table(n, seed=8).to_csv(path)
+    lines = path.read_text().splitlines()
+    for line_no, text in edits.items():
+        lines[line_no - 1] = text
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("edits, message", [
+    ({1500: "0.5,x1.5,0.25,-1.0,0.5"}, "column summary: could not convert string to float: 'x1.5'"),
+    ({10: "bad,0.1,0.25,-1.0,0.5", 1500: "0.5,0.1,0.25"}, "line 1500: expected 5 fields"),
+    ({1100: "0.5,0.1,,-1.0,0.5"}, "column decision mixes blank and present values"),
+    ({5: "0.5,0.1,0.25,-1.0,tau", 2000: "0.5,,0.25,-1.0,0.5"},
+     "column summary mixes blank and present values"),
+], ids=["bad-float-in-block-2", "short-row-after-bad-float", "blank-decision-in-block-2",
+        "blank-summary-before-bad-tau"])
+def test_from_csv_errors_match_whole_file_reader(tmp_path, edits, message):
+    path = _edited_table(tmp_path, edits)
+    assert csv_reader_oracle(path) == message
+    assert_reads_as_oracle(path)
+
+
+def _peak_bytes(fn):
+    """Peak traced bytes of one call."""
+    fn()  # first-call allocations are not the call's own
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_csv_round_trip_memory_grows_with_values_not_cells(tmp_path):
+    # From 4,096 to 32,768 utility rows the five columns grow by 8 bytes per
+    # value. Block reading and writing grew by 1.02 and 0.002 times that; the
+    # whole-file reader and writer, which held every cell's string or Python
+    # float, grew by 11.6 and 4.0 times that.
+    peaks = {}
+    for n in (4096, 32_768):
+        t = utility_table(n, seed=5)
+        path = tmp_path / f"{n}.csv"
+        peaks[n] = (_peak_bytes(lambda: t.to_csv(path)),
+                    _peak_bytes(lambda: TrainingTable.from_csv(path)))
+    values = 5 * 8 * (32_768 - 4096)
+    write_growth = peaks[32_768][0] - peaks[4096][0]
+    read_growth = peaks[32_768][1] - peaks[4096][1]
+    assert write_growth <= 2 * values, f"to_csv grew {write_growth / values:.2f}x the values"
+    assert read_growth <= 2 * values, f"from_csv grew {read_growth / values:.2f}x the values"
+
+
+def test_preset_portfolio_table_round_trips_bit_for_bit(tmp_path):
+    table = simulate_table(ExperimentConfig(PORTFOLIO, {}))
+    assert table.n_rows == 100_000
+    path = tmp_path / "table.csv"
+    table.to_csv(path)
+    # the preset table `simulate --preset portfolio` writes
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "08f16bb81ee6bdf6dabcc396a36651e1e9527e1937260ed959143607ccf0f526")
+    back = TrainingTable.from_csv(path)
+    for name in ("theta", "summary", "tau", "decision", "utility"):
+        assert getattr(back, name).tobytes() == getattr(table, name).tobytes(), name
