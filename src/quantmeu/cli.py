@@ -195,7 +195,7 @@ def build_parser() -> _Parser:
     p.add_argument("--net", required=True, help="serialized net JSON path")
     p.add_argument("--decision", type=float, required=True,
                    help="decision (or conditioning) value")
-    p.add_argument("--m", type=int, help="number of tau points")
+    p.add_argument("--m", type=int, help="number of tau draws for --scheme random")
     p.add_argument("--scheme", help="tau scheme: uniform_grid or random")
     p.set_defaults(func=cmd_eu)
 

@@ -41,11 +41,7 @@ class QuantileNet:
 
     def evaluate(self, cond, taus) -> np.ndarray:
         """Quantile values at one conditioning point across many tau."""
-        cond = np.asarray(cond, dtype=np.float64).reshape(-1)
-        if cond.shape[0] != self.conditioning_dim:
-            raise ShapeError(
-                f"conditioning point has length {cond.shape[0]}, expected "
-                f"{self.conditioning_dim}")
+        cond = _condition(cond, self.conditioning_dim)
         taus = np.asarray(taus, dtype=np.float64).reshape(-1)
         if taus.size == 0:
             raise DataError("tau grid must be nonempty")
@@ -57,8 +53,54 @@ class QuantileNet:
         return self.net.predict(X)
 
 
+def _condition(cond, dim: int) -> np.ndarray:
+    """One conditioning point as a flat vector of length dim."""
+    cond = np.asarray(cond, dtype=np.float64).reshape(-1)
+    if cond.shape[0] != dim:
+        raise ShapeError(f"conditioning point has length {cond.shape[0]}, expected {dim}")
+    return cond
+
+
 def _midpoint_grid(M: int) -> np.ndarray:
     return (np.arange(M) + 0.5) / M
+
+
+def _tau_line(net: DenseNet, cond):
+    """The net's restriction to the tau line [0, 1] at one conditioning point.
+
+    Returns the sorted breakpoints T, 0 and 1 included, and the output Q at
+    each, in the data scale; Q is linear in tau between neighbouring
+    breakpoints. Layer by layer: where a unit's pre-activation strictly
+    changes sign between two neighbouring points, the root is inserted and
+    its row taken by linear interpolation, which is exact as the layer is
+    linear on that piece; then the ReLU is applied. Sotoudeh & Thakur 2019,
+    "Computing linear restrictions of neural networks".
+    """
+    cond = _condition(cond, net.input_dim - 1)
+    if not np.all(np.isfinite(cond)):
+        raise ValueError("inputs must be finite")
+    T = np.array([0.0, 1.0])
+    A = np.empty((2, net.input_dim))
+    A[:, :-1] = cond
+    A[:, -1] = T
+    A = (A - net.x_mean) / net.x_scale
+    layers = net.layers()
+    for w, b in layers[:-1]:
+        Z = A @ w.T
+        Z += b
+        pos, neg = Z > 0.0, Z < 0.0
+        # point i and unit k of each strict sign change; a flat index, as a
+        # 2-D np.nonzero takes several times longer
+        i, k = np.divmod(np.flatnonzero((pos[:-1] & neg[1:]) | (neg[:-1] & pos[1:])),
+                         Z.shape[1])
+        f = Z[i, k] / (Z[i, k] - Z[i + 1, k])
+        T = np.concatenate([T, T[i] + f * (T[i + 1] - T[i])])
+        Z = np.concatenate([Z, Z[i] + f[:, None] * (Z[i + 1] - Z[i])])
+        order = np.argsort(T, kind="stable")
+        T, Z = T[order], Z[order]
+        A = np.maximum(Z, 0.0, out=Z)
+    w, b = layers[-1]
+    return T, (A @ w[0] + b[0]) * net.y_scale + net.y_mean
 
 
 def build_training_table(model: ModelSpec, utility: Optional[UtilitySpec] = None,
@@ -177,19 +219,33 @@ def expected_utility(quantile_source, d: Optional[float] = None,
                      y_obs=None, M: int = 1024, rng: Optional[RandomSource] = None):
     """Estimate E(U) as the integral of the quantile function over (0,1).
 
-    The tau set is the M midpoints (i-1/2)/M, and the standard error 0,
-    or with `rng` the M sorted draws rng.uniform(M) and their Monte Carlo
-    standard error. `quantile_source` is a callable mapping the sorted tau
-    array to quantile values, or a QuantileNet, read as its monotone
-    rearrangement (sorted values) at whichever one of `d` and `y_obs` is
-    given.
+    A QuantileNet is read at whichever one of `d` and `y_obs` is given.
+    Without `rng` its estimate is the exact integral over the breakpoints of
+    its tau line, which is piecewise linear, and the standard error 0; this
+    is also the integral of its monotone rearrangement, as the mean does not
+    change under rearrangement, and M is only checked. With `rng` the tau
+    set is the M sorted draws rng.uniform(M), the values are sorted, and the
+    standard error is the Monte Carlo one. A callable `quantile_source` maps
+    the sorted tau array to quantile values; without `rng` its tau set is
+    the M midpoints (i-1/2)/M and its standard error 0.
     """
     if M < 2:
         raise ValueError("M must be >= 2")
+    is_net = isinstance(quantile_source, QuantileNet)
+    if is_net and (d is None) == (y_obs is None):
+        raise ValueError("give exactly one of d and y_obs for a QuantileNet")
+    if is_net and rng is None:
+        # an overflowing tau line is reported below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            T, Q = _tau_line(quantile_source.net, y_obs if d is None else d)
+            # each piece's mean value as a convex combination: finite Q cannot overflow
+            estimate = float(np.sum(np.diff(T) * (0.5 * Q[:-1] + 0.5 * Q[1:])))
+        if not (np.all(np.isfinite(Q)) and math.isfinite(estimate)):
+            raise NumericError("the net's tau line or its integral is non-finite")
+        return estimate, 0.0
+
     taus = _midpoint_grid(M) if rng is None else np.sort(rng.uniform(M))
-    if isinstance(quantile_source, QuantileNet):
-        if (d is None) == (y_obs is None):
-            raise ValueError("give exactly one of d and y_obs for a QuantileNet")
+    if is_net:
         values = np.sort(quantile_source.evaluate(y_obs if d is None else d, taus))
     else:
         values = np.asarray(quantile_source(taus), dtype=np.float64).reshape(-1)

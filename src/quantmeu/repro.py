@@ -174,9 +174,10 @@ def simulate_table(cfg: ExperimentConfig) -> TrainingTable:
 
 def eu_evaluator(net: DenseNet, cfg: ExperimentConfig):
     """x -> (eu, se) of the net conditioned on x (the decision of a utility
-    net, the summary of a posterior net). Every call uses the same tau set:
-    the midpoint grid, or the first eu.M draws of the simulation seed's
-    stream 7."""
+    net, the summary of a posterior net): the exact integral of the net's
+    tau line under eu.scheme uniform_grid, or under random the mean over
+    the first eu.M draws of the simulation seed's stream 7, the same draws
+    at every call."""
     M, scheme, seed = cfg.eu["M"], cfg.eu["scheme"], cfg.simulate["seed"]
     qnet = QuantileNet(net, "utility", net.input_dim - 1)
 

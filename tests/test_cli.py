@@ -230,9 +230,14 @@ def test_eu_corrupt_net(tmp_path):
 
 
 def test_eu_overflowing_estimate_is_numeric_error(tmp_path, capsys):
-    # finite quantiles near 1e308 whose mean overflows once printed Infinity
+    # an estimate that overflows once printed Infinity; at 1e308 this net's
+    # tau line is about -3.9e307 and finite, and y_scale 1e10 overflows it
+    net = DenseNet.initialized((2, 8, 1), seed=0)
     net_path = tmp_path / "net.json"
-    save_net(DenseNet.initialized((2, 8, 1), seed=0), net_path)
+    save_net(net, net_path)
+    assert main(["eu", "--net", str(net_path), "--decision", "1e308"]) == 0
+    assert -1e308 < json.loads(capsys.readouterr().out)["eu"] < -1e307
+    save_net(DenseNet(net.layer_sizes, net.params, y_scale=1e10), net_path)
     assert main(["eu", "--net", str(net_path), "--decision", "1e308"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -518,7 +523,8 @@ def test_malformed_file_is_data_error(tmp_path, capsys, command, flag, write):
 
 
 @pytest.mark.parametrize("argv", [
-    ["eu", "--net", "{net}", "--decision", "0.4", "--m", "1000000000000000"],
+    ["eu", "--net", "{net}", "--decision", "0.4", "--m", "1000000000000000",
+     "--scheme", "random"],
     ["simulate", "--preset", "portfolio", "--n", "1000000000000000"],
 ], ids=["eu-m-1e15", "simulate-n-1e15"])
 def test_size_too_large_to_allocate_is_usage_error(tmp_path, capsys, argv):

@@ -447,6 +447,107 @@ def test_expected_utility_via_utility_net():
 
 
 # ---------------------------------------------------------------------------
+# exact tau-line integral of a net
+# ---------------------------------------------------------------------------
+
+def random_net(draw_seed, cond_dim, widths):
+    # random weights and biases, so hidden units cross zero inside (0,1),
+    # and standardisation constants far from the identity
+    r = np.random.default_rng(draw_seed)
+    sizes = (cond_dim + 1,) + tuple(widths) + (1,)
+    n_params = sum((a + 1) * b for a, b in zip(sizes[:-1], sizes[1:]))
+    return DenseNet(sizes, r.normal(size=n_params), x_mean=r.normal(size=cond_dim + 1),
+                    x_scale=np.exp(r.uniform(-2.3, 2.3, size=cond_dim + 1)),
+                    y_mean=float(10.0 * r.normal()), y_scale=float(np.exp(r.uniform(-2.3, 2.3)))), r
+
+
+def line_inputs(cond, taus):
+    X = np.empty((taus.size, len(cond) + 1))
+    X[:, :-1] = cond
+    X[:, -1] = taus
+    return X
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), cond_dim=st.integers(1, 2),
+       widths=st.lists(st.integers(1, 16), min_size=1, max_size=3))
+def test_tau_line_is_the_net_and_integrates_to_the_fine_midpoint_eu(seed, cond_dim, widths):
+    net, r = random_net(seed, cond_dim, widths)
+    cond = r.normal(size=cond_dim)
+    T, Q = engine._tau_line(net, cond)
+    assert T[0] == 0.0 and T[-1] == 1.0 and np.all(np.diff(T) >= 0.0)
+    want = net.predict(line_inputs(cond, T))
+    # relative to the line's largest value, as a breakpoint value may cancel to ~0
+    np.testing.assert_allclose(Q, want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
+    # the line is linear between breakpoints: its midpoints are on the chords
+    mid = net.predict(line_inputs(cond, 0.5 * (T[:-1] + T[1:])))
+    np.testing.assert_allclose(mid, 0.5 * Q[:-1] + 0.5 * Q[1:], rtol=0.0,
+                               atol=1e-12 * np.max(np.abs(want)))
+
+    exact, se = expected_utility(QuantileNet(net, "utility", cond_dim), d=cond, M=2)
+    fine, _ = expected_utility(lambda t: net.predict(line_inputs(cond, t)), M=2 ** 20)
+    assert se == 0.0
+    assert abs(exact - fine) <= 1e-8 * max(1.0, np.max(np.abs(Q)))
+
+
+def hand_net():
+    # layer 1: u1 = relu(tau - 1/2) and u2 = relu(1/2 - tau) share the root 1/2,
+    # u3 = relu(1) and u4 = relu(-1) have zero tau-weight; layer 2:
+    # v = relu(u1 - u2), exactly 0 at the breakpoint 1/2, and c = relu(u3 / 4)
+    w1 = [[0.0, 1.0], [0.0, -1.0], [0.0, 0.0], [0.0, 0.0]]
+    b1 = [-0.5, 0.5, 1.0, -1.0]
+    w2 = [[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 0.25, 0.0]]
+    params = np.concatenate([np.ravel(w1), b1, np.ravel(w2), [0.0, 0.0], [1.0, 1.0], [0.0]])
+    return DenseNet((2, 4, 2, 1), params)
+
+
+def test_tau_line_edge_cases():
+    # Q = relu(tau - 1/2) + 1/4, whose integral is 1/8 + 1/4
+    net = hand_net()
+    T, Q = engine._tau_line(net, [3.0])
+    # the shared root is one breakpoint (twice); v's zero and the flat units add none
+    np.testing.assert_array_equal(np.unique(T), [0.0, 0.5, 1.0])
+    assert T.size == 4
+    np.testing.assert_array_equal(Q, net.predict(line_inputs([3.0], T)))
+    np.testing.assert_array_equal(Q, [0.25, 0.25, 0.25, 0.75])
+    assert expected_utility(QuantileNet(net, "utility", 1), d=3.0) == (0.375, 0.0)
+
+
+def test_tau_line_checks_the_condition():
+    net = DenseNet.initialized((3, 4, 1), seed=0)
+    with pytest.raises(ShapeError):
+        engine._tau_line(net, [0.1])
+    with pytest.raises(ValueError):
+        engine._tau_line(net, [0.1, np.nan])
+
+
+def test_net_eu_runs_no_forward_pass_unless_drawn(monkeypatch):
+    # the exact integral never evaluates an M-row tau grid; a random tau
+    # set is one forward pass per query
+    from quantmeu import _kernels
+    calls = []
+    forward = _kernels.forward_batch
+    monkeypatch.setattr(_kernels, "forward_batch",
+                        lambda *args: calls.append(args[-1].shape[0]) or forward(*args))
+    q = QuantileNet(DenseNet.initialized((2, 16, 16, 1), seed=4), "utility", 1)
+    for d in (0.0, 0.5, 1.0):
+        expected_utility(q, d=d, M=4096)
+    assert calls == []
+    for d in (0.0, 0.5, 1.0):
+        expected_utility(q, d=d, M=64, rng=RandomSource(3))
+    assert calls == [64, 64, 64]
+
+
+def test_net_eu_overflow_is_numeric_error_without_a_warning():
+    net = DenseNet.initialized((2, 8, 1), seed=0)
+    q = QuantileNet(net, "utility", 1)
+    assert math.isfinite(expected_utility(q, d=1e308)[0])
+    big = QuantileNet(DenseNet(net.layer_sizes, net.params, y_scale=1e10), "utility", 1)
+    with np.errstate(all="raise"), pytest.raises(NumericError):
+        expected_utility(big, d=1e308)
+
+
+# ---------------------------------------------------------------------------
 # trainer input layout: the conditioning columns, then tau
 # ---------------------------------------------------------------------------
 
