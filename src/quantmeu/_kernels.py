@@ -25,7 +25,8 @@ answer; both sides poll for `_POLL_S` before they block. A split starts a
 worker when there is none or its thread is not alive, as in a forked
 child. At one BLAS thread and with the cut on a 64-row boundary, a row's
 output does not depend on the rows that share its pass, so the bytes equal
-the unsplit pass's. `loss_grad_batch` never splits.
+the unsplit pass's. `loss_grad_batch` never splits, and of the pipelines'
+passes only a full `repro` run's 10,000-row validation pass does.
 
 BLAS thread policy: at import, OpenBLAS is set to one thread for the whole
 process, through `openblas_set_num_threads_local`; nothing here changes it
@@ -152,8 +153,8 @@ def _forward(params, sizes, w_offs, b_offs, X, out):
 
 # Split/unsplit time per call on a 2-vCPU host, 2-64-64-64-1, both at one
 # BLAS thread, measured on whole passes before row blocks (medians over 8
-# processes): 1024 rows 0.78, 3072 0.56, 4096 0.55, 10,000 0.56. Below 3072
-# rows the gain is not yet measured end to end.
+# processes): 1024 rows 0.78, 3072 0.56, 4096 0.55, 10,000 0.56. No pipeline
+# pass but a full `repro` run's 10,000-row validation pass reaches this bound.
 _SPLIT_MIN_ROWS = 3072
 _SPLIT_ALIGN = 64
 # Both sides of a split poll for this long before they block: waking a

@@ -39,31 +39,6 @@ class QuantileNet:
         if self.net.input_dim != self.conditioning_dim + 1:
             raise ShapeError("net input dim must equal conditioning_dim + 1")
 
-    def evaluate(self, cond, taus) -> np.ndarray:
-        """Quantile values at one conditioning point across many tau."""
-        cond = _condition(cond, self.conditioning_dim)
-        taus = np.asarray(taus, dtype=np.float64).reshape(-1)
-        if taus.size == 0:
-            raise DataError("tau grid must be nonempty")
-        if np.any(taus <= 0.0) or np.any(taus >= 1.0):
-            raise DomainError("all tau must be strictly inside (0,1)")
-        X = np.empty((taus.size, self.conditioning_dim + 1))
-        X[:, :-1] = cond
-        X[:, -1] = taus
-        return self.net.predict(X)
-
-
-def _condition(cond, dim: int) -> np.ndarray:
-    """One conditioning point as a flat vector of length dim."""
-    cond = np.asarray(cond, dtype=np.float64).reshape(-1)
-    if cond.shape[0] != dim:
-        raise ShapeError(f"conditioning point has length {cond.shape[0]}, expected {dim}")
-    return cond
-
-
-def _midpoint_grid(M: int) -> np.ndarray:
-    return (np.arange(M) + 0.5) / M
-
 
 def _tau_line(net: DenseNet, cond):
     """The net's restriction to the tau line [0, 1] at one conditioning point.
@@ -76,7 +51,10 @@ def _tau_line(net: DenseNet, cond):
     linear on that piece; then the ReLU is applied. Sotoudeh & Thakur 2019,
     "Computing linear restrictions of neural networks".
     """
-    cond = _condition(cond, net.input_dim - 1)
+    cond = np.asarray(cond, dtype=np.float64).reshape(-1)
+    if cond.shape[0] != net.input_dim - 1:
+        raise ShapeError(f"conditioning point has length {cond.shape[0]}, "
+                         f"expected {net.input_dim - 1}")
     if not np.all(np.isfinite(cond)):
         raise ValueError("inputs must be finite")
     T = np.array([0.0, 1.0])
@@ -101,6 +79,25 @@ def _tau_line(net: DenseNet, cond):
         A = np.maximum(Z, 0.0, out=Z)
     w, b = layers[-1]
     return T, (A @ w[0] + b[0]) * net.y_scale + net.y_mean
+
+
+def _read_tau_line(net: DenseNet, cond, taus=None):
+    """The net's tau line at cond read exactly: its integral over [0, 1]
+    without taus, else its values at taus by interpolation. NumericError if
+    the line or the reading is non-finite."""
+    # an overflowing tau line is reported below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        T, Q = _tau_line(net, cond)
+        if taus is None:
+            # each piece's mean value as a convex combination: finite Q cannot overflow
+            out = float(np.sum(np.diff(T) * (0.5 * Q[:-1] + 0.5 * Q[1:])))
+            finite = math.isfinite(out)
+        else:
+            out = np.interp(taus, T, Q)
+            finite = np.isfinite(out).all()
+    if not (finite and np.isfinite(Q).all()):
+        raise NumericError("the net's tau line or its reading is non-finite")
+    return out
 
 
 def build_training_table(model: ModelSpec, utility: Optional[UtilitySpec] = None,
@@ -206,13 +203,12 @@ def train_utility_net(table: TrainingTable, config: Optional[TrainConfig] = None
 def posterior_sample(H: QuantileNet, y_obs, M: int, rng: RandomSource) -> np.ndarray:
     """Draw M posterior values H(y_obs, tau) with tau ~ U(0,1).
 
-    `y_obs` is the summary value the net is conditioned on.
+    `y_obs` is the summary value the net is conditioned on. Each draw
+    interpolates the net's tau line, exact as it is piecewise linear.
     """
-    if H.role != "posterior":
-        raise ValueError("posterior_sample needs a posterior-role net")
     if M < 1:
         raise ValueError("M must be >= 1")
-    return H.evaluate(y_obs, rng.uniform(M))
+    return _read_tau_line(H.net, y_obs, rng.uniform(M))
 
 
 def expected_utility(quantile_source, d: Optional[float] = None,
@@ -225,28 +221,24 @@ def expected_utility(quantile_source, d: Optional[float] = None,
     is also the integral of its monotone rearrangement, as the mean does not
     change under rearrangement, and M is only checked. With `rng` the tau
     set is the M sorted draws rng.uniform(M), the values are sorted, and the
-    standard error is the Monte Carlo one. A callable `quantile_source` maps
-    the sorted tau array to quantile values; without `rng` its tau set is
-    the M midpoints (i-1/2)/M and its standard error 0.
+    standard error is the Monte Carlo one; a net's values then interpolate
+    its tau line. A callable `quantile_source` maps the sorted tau array to
+    quantile values; without `rng` its tau set is the M midpoints (i-1/2)/M
+    and its standard error 0.
     """
     if M < 2:
         raise ValueError("M must be >= 2")
     is_net = isinstance(quantile_source, QuantileNet)
-    if is_net and (d is None) == (y_obs is None):
-        raise ValueError("give exactly one of d and y_obs for a QuantileNet")
-    if is_net and rng is None:
-        # an overflowing tau line is reported below, not warned about
-        with np.errstate(over="ignore", invalid="ignore"):
-            T, Q = _tau_line(quantile_source.net, y_obs if d is None else d)
-            # each piece's mean value as a convex combination: finite Q cannot overflow
-            estimate = float(np.sum(np.diff(T) * (0.5 * Q[:-1] + 0.5 * Q[1:])))
-        if not (np.all(np.isfinite(Q)) and math.isfinite(estimate)):
-            raise NumericError("the net's tau line or its integral is non-finite")
-        return estimate, 0.0
-
-    taus = _midpoint_grid(M) if rng is None else np.sort(rng.uniform(M))
     if is_net:
-        values = np.sort(quantile_source.evaluate(y_obs if d is None else d, taus))
+        if (d is None) == (y_obs is None):
+            raise ValueError("give exactly one of d and y_obs for a QuantileNet")
+        cond = y_obs if d is None else d
+        if rng is None:
+            return _read_tau_line(quantile_source.net, cond), 0.0
+
+    taus = (np.arange(M) + 0.5) / M if rng is None else np.sort(rng.uniform(M))
+    if is_net:
+        values = np.sort(_read_tau_line(quantile_source.net, cond, taus))
     else:
         values = np.asarray(quantile_source(taus), dtype=np.float64).reshape(-1)
     if values.shape[0] != M:

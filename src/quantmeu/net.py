@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .errors import DataError, DomainError, QuantmeuError, ShapeError
+from .errors import DataError, DomainError, NumericError, QuantmeuError, ShapeError
 from .tables import read_json, write_json
 
 DEFAULT_HIDDEN = (64, 64, 64)
@@ -171,7 +171,8 @@ def train(net: DenseNet, X, y, tau, config: TrainConfig = None):
     Holds out `validation_fraction` of the rows (seeded split), stops when
     the validation loss has not improved for `patience` epochs, and returns
     a new net carrying the best-validation parameters together with the
-    standardisation constants used internally.
+    standardisation constants used internally. Raises NumericError at the
+    first epoch whose training or validation loss is non-finite.
     """
     config = config or TrainConfig()
     X, y, tau = _check_batch(net, X, y, tau)
@@ -230,6 +231,9 @@ def train(net: DenseNet, X, y, tau, config: TrainConfig = None):
                                  0.9, 0.999, 1e-8)
             loss_sum += loss * idx.size
         val_loss = _pinball_mean(params, sizes, w_offs, b_offs, Xv, yv, tv)
+        if not (math.isfinite(loss_sum) and math.isfinite(val_loss)):
+            raise NumericError(f"training diverged at epoch {epoch}: training loss "
+                               f"{loss_sum / n_train}, validation loss {val_loss}")
         history.train_loss.append(loss_sum / n_train)
         history.val_loss.append(val_loss)
         if val_loss < best_val:

@@ -144,6 +144,19 @@ def test_train_bad_config_key(tmp_path, portfolio_table):
                  "--config", str(cfg)]) == 1
 
 
+def test_train_divergence_exits_2(tmp_path, portfolio_table, capsys):
+    cfg = tmp_path / "diverge.json"
+    cfg.write_text(json.dumps({"train": {"learning_rate": 1e300, "max_epochs": 5,
+                                         "patience": 2}}))
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        assert main(["train", "--table", str(portfolio_table / "table.csv"),
+                     "--config", str(cfg), "--out", str(tmp_path / "train")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [err[0]] and "diverged at epoch 0" in err[0]
+    assert not (tmp_path / "train" / "net.json").exists()
+
+
 def test_config_not_json(tmp_path, portfolio_table):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{broken")

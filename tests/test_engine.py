@@ -14,7 +14,7 @@ from quantmeu import (DenseNet, ModelSpec, NormalNormalModel,
                       PortfolioProblem, expected_utility, get_preset,
                       normal_quantile, optimize_decision, summary_mean)
 from quantmeu import engine
-from quantmeu.engine import (_BLOCK_UNIFORMS, QuantileNet, _midpoint_grid,
+from quantmeu.engine import (_BLOCK_UNIFORMS, QuantileNet,
                              build_training_table, posterior_sample,
                              train_posterior_net, train_utility_net)
 from quantmeu.models import RandomSource, cara_utility, portfolio_wealth
@@ -314,22 +314,15 @@ def test_quantile_net_dim_check():
     QuantileNet(net, role="posterior", conditioning_dim=2)
 
 
-def test_quantile_net_evaluate_and_curve():
-    net = DenseNet.initialized((2, 8, 1), seed=1)
-    q = QuantileNet(net, role="posterior", conditioning_dim=1)
-    taus = np.array([0.9, 0.1, 0.5])
-    vals = q.evaluate([0.3], taus)
-    assert vals.shape == (3,)
-    curve = np.sort(q.evaluate([0.3], taus))
-    assert np.all(np.diff(curve) >= 0)
-    np.testing.assert_array_equal(np.sort(vals), curve)
-
-
-def test_quantile_net_tau_domain():
-    net = DenseNet.initialized((2, 8, 1))
-    q = QuantileNet(net, role="posterior", conditioning_dim=1)
-    with pytest.raises(DomainError):
-        q.evaluate([0.0], [0.5, 1.0])
+def test_posterior_sample_checks_its_arguments():
+    q = QuantileNet(DenseNet.initialized((2, 8, 1), seed=0), role="posterior",
+                    conditioning_dim=1)
+    with pytest.raises(ValueError):
+        posterior_sample(q, [0.0], M=0, rng=RandomSource(0))
+    with pytest.raises(ShapeError):
+        posterior_sample(q, [0.0, 1.0], M=8, rng=RandomSource(0))
+    with pytest.raises(ValueError):
+        posterior_sample(q, [np.inf], M=8, rng=RandomSource(0))
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +343,7 @@ def test_posterior_net_learns_identity(identity_posterior):
     assert qnet.conditioning_dim == 1
     assert hist.best_epoch >= 0
     for s in (-1.5, 0.0, 1.2):
-        draws = qnet.evaluate(s, _midpoint_grid(64))
+        draws = qnet.net.predict(line_inputs([s], (np.arange(64) + 0.5) / 64))
         assert np.mean(draws) == pytest.approx(s, abs=0.15)
 
 
@@ -359,15 +352,11 @@ def test_posterior_sample_modes(identity_posterior):
     d1 = posterior_sample(qnet, 0.5, M=32, rng=RandomSource(0))
     d2 = posterior_sample(qnet, 0.5, M=32, rng=RandomSource(0))
     np.testing.assert_array_equal(d1, d2)
-    sorted_draws = np.sort(qnet.evaluate(0.5, np.linspace(0.4, 0.6, 9)))
-    assert np.all(np.diff(sorted_draws) >= 0)
-
-
-def test_posterior_sample_role_check():
-    net = DenseNet.initialized((2, 4, 1))
-    u = QuantileNet(net, role="utility", conditioning_dim=1)
-    with pytest.raises(ValueError):
-        posterior_sample(u, 0.5, M=8, rng=RandomSource(0))
+    # each draw is the net's tau line read at one uniform
+    taus = RandomSource(0).uniform(32)
+    np.testing.assert_array_equal(d1, np.interp(taus, *engine._tau_line(qnet.net, [0.5])))
+    want = qnet.net.predict(line_inputs([0.5], taus))
+    np.testing.assert_allclose(d1, want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +436,7 @@ def test_expected_utility_via_utility_net():
 
 
 # ---------------------------------------------------------------------------
-# exact tau-line integral of a net
+# a net's tau line: the exact integral and interpolated reads
 # ---------------------------------------------------------------------------
 
 def random_net(draw_seed, cond_dim, widths):
@@ -521,21 +510,22 @@ def test_tau_line_checks_the_condition():
         engine._tau_line(net, [0.1, np.nan])
 
 
-def test_net_eu_runs_no_forward_pass_unless_drawn(monkeypatch):
-    # the exact integral never evaluates an M-row tau grid; a random tau
-    # set is one forward pass per query
+def test_net_reads_run_no_forward_pass(monkeypatch):
+    # draws and both EU schemes read the tau line; only training's
+    # validation passes and DenseNet.predict reach the forward kernel
     from quantmeu import _kernels
-    calls = []
-    forward = _kernels.forward_batch
-    monkeypatch.setattr(_kernels, "forward_batch",
-                        lambda *args: calls.append(args[-1].shape[0]) or forward(*args))
-    q = QuantileNet(DenseNet.initialized((2, 16, 16, 1), seed=4), "utility", 1)
+
+    def refuse(*args):
+        raise AssertionError("forward_batch ran")
+
+    q = QuantileNet(DenseNet.initialized((2, 16, 16, 1), seed=4), "posterior", 1)
+    monkeypatch.setattr(_kernels, "forward_batch", refuse)
+    assert posterior_sample(q, [0.3], M=10_000, rng=RandomSource(3)).shape == (10_000,)
     for d in (0.0, 0.5, 1.0):
         expected_utility(q, d=d, M=4096)
-    assert calls == []
-    for d in (0.0, 0.5, 1.0):
-        expected_utility(q, d=d, M=64, rng=RandomSource(3))
-    assert calls == [64, 64, 64]
+        expected_utility(q, d=d, M=4096, rng=RandomSource(3))
+    with pytest.raises(AssertionError):
+        q.net.predict([[0.3, 0.5]])
 
 
 def test_net_eu_overflow_is_numeric_error_without_a_warning():
@@ -543,8 +533,55 @@ def test_net_eu_overflow_is_numeric_error_without_a_warning():
     q = QuantileNet(net, "utility", 1)
     assert math.isfinite(expected_utility(q, d=1e308)[0])
     big = QuantileNet(DenseNet(net.layer_sizes, net.params, y_scale=1e10), "utility", 1)
-    with np.errstate(all="raise"), pytest.raises(NumericError):
-        expected_utility(big, d=1e308)
+    # a finite tau line, -1e308 to 1e308, whose slope overflows: np.interp
+    # returns inf without a floating-point warning
+    steep = QuantileNet(DenseNet((2, 1), np.array([0.0, 2.0, -1.0]), y_scale=1e308),
+                        "posterior", 1)
+    assert np.all(np.isfinite(engine._tau_line(steep.net, [0.0])[1]))
+    with np.errstate(all="raise"):
+        for read in (lambda: expected_utility(big, d=1e308),
+                     lambda: expected_utility(big, d=1e308, rng=RandomSource(0)),
+                     lambda: posterior_sample(big, 1e308, M=8, rng=RandomSource(0)),
+                     lambda: posterior_sample(steep, [0.0], M=64, rng=RandomSource(0))):
+            with pytest.raises(NumericError):
+                read()
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), cond_dim=st.integers(1, 2),
+       widths=st.lists(st.integers(1, 16), min_size=1, max_size=3))
+def test_interpolated_tau_line_is_the_net(seed, cond_dim, widths):
+    net, r = random_net(seed, cond_dim, widths)
+    cond = r.normal(size=cond_dim)
+    taus = r.uniform(size=257)
+    want = net.predict(line_inputs(cond, taus))
+    got = np.interp(taus, *engine._tau_line(net, cond))
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
+    q = QuantileNet(net, "posterior", cond_dim)
+    np.testing.assert_array_equal(
+        posterior_sample(q, cond, M=257, rng=RandomSource(seed)),
+        np.interp(RandomSource(seed).uniform(257), *engine._tau_line(net, cond)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), root=st.floats(0.01, 0.99))
+def test_interpolated_tau_line_with_duplicated_units(seed, root):
+    # first-layer units 0 and 1 are equal and cross zero at tau = root, so T
+    # holds equal neighbours: a zero-width interval np.interp must not use
+    net, r = random_net(seed, 1, [6, 6])
+    cond = r.normal(size=1)
+    w, b = net.layers()[0]
+    xs = (np.array([cond[0], root]) - net.x_mean) / net.x_scale
+    b[0] = -(w[0] @ xs)
+    w[1], b[1] = w[0], b[0]
+    T, Q = engine._tau_line(net, cond)
+    ties = T[1:][np.diff(T) == 0.0]
+    assert ties.size >= 1
+    taus = np.concatenate([ties, np.nextafter(ties, 0.0), np.nextafter(ties, 1.0),
+                           r.uniform(size=64)])
+    want = net.predict(line_inputs(cond, taus))
+    got = np.interp(taus, T, Q)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 from quantmeu import DenseNet, grad_check
 from quantmeu import _kernels as K
-from quantmeu.errors import DataError, DomainError, ShapeError
+from quantmeu.errors import DataError, DomainError, NumericError, ShapeError
 from quantmeu.net import (TrainConfig, _adam_update_inplace, load_net,
                           net_from_document, net_to_document, save_net, train)
 
@@ -206,6 +206,15 @@ def test_train_early_stopping_respects_patience():
     net, hist = train(DenseNet.initialized((2, 8, 1), seed=2), Xt, y, tau, cfg)
     assert hist.stopped_epoch < 499
     assert hist.stopped_epoch - hist.best_epoch >= 3
+
+
+def test_train_divergence_is_numeric_error():
+    # at this learning rate the first epoch's validation loss is nan
+    X, y, tau = linear_problem(n=300)
+    Xt = np.column_stack([X[:, 0], tau])
+    cfg = TrainConfig(learning_rate=1e300, max_epochs=5, patience=2)
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="epoch 0"):
+        train(DenseNet.initialized((2, 8, 1), seed=2), Xt, y, tau, cfg)
 
 
 def test_train_stores_standardization():
