@@ -177,12 +177,14 @@ def _next(q):
 
 
 def _serve(jobs):
-    """The worker thread: runs one unsplit pass per job into the job's output
-    vector and puts that, or the error it raised, on the job's answer queue."""
+    """The worker thread: runs one unsplit pass per job, under the caller's
+    floating-point error handling, into the job's output vector and puts
+    that, or the error it raised, on the job's answer queue."""
     while True:
-        *job, answer = _next(jobs)
+        err, *job, answer = _next(jobs)
         try:
-            answer.put(_forward(*job))
+            with np.errstate(**err):
+                answer.put(_forward(*job))
         except Exception as exc:  # raised again in the caller
             answer.put(exc)
 
@@ -205,7 +207,7 @@ def forward_batch(params, sizes, w_offs, b_offs, X):
         worker = _worker = (thread, jobs)
     cut = n // 2 // _SPLIT_ALIGN * _SPLIT_ALIGN
     answer = queue.SimpleQueue()
-    worker[1].put((params, sizes, w_offs, b_offs, X[:cut], out[:cut], answer))
+    worker[1].put((np.geterr(), params, sizes, w_offs, b_offs, X[:cut], out[:cut], answer))
     try:
         _forward(params, sizes, w_offs, b_offs, X[cut:], out[cut:])
     finally:

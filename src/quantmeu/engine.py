@@ -48,8 +48,10 @@ def _tau_line(net: DenseNet, cond):
     breakpoints. Layer by layer: where a unit's pre-activation strictly
     changes sign between two neighbouring points, the root is inserted and
     its row taken by linear interpolation, which is exact as the layer is
-    linear on that piece; then the ReLU is applied. Sotoudeh & Thakur 2019,
-    "Computing linear restrictions of neural networks".
+    linear on that piece; the points are then stably sorted by tau (a layer
+    without a sign change keeps its points as they are), and the ReLU is
+    applied. Sotoudeh & Thakur 2019, "Computing linear restrictions of
+    neural networks".
     """
     cond = np.asarray(cond, dtype=np.float64).reshape(-1)
     if cond.shape[0] != net.input_dim - 1:
@@ -61,24 +63,41 @@ def _tau_line(net: DenseNet, cond):
     A = np.empty((2, net.input_dim))
     A[:, :-1] = cond
     A[:, -1] = T
-    A = (A - net.x_mean) / net.x_scale
+    A -= net.x_mean
+    A /= net.x_scale
     layers = net.layers()
     for w, b in layers[:-1]:
         Z = A @ w.T
         Z += b
+        width = Z.shape[1]
         pos, neg = Z > 0.0, Z < 0.0
-        # point i and unit k of each strict sign change; a flat index, as a
-        # 2-D np.nonzero takes several times longer
-        i, k = np.divmod(np.flatnonzero((pos[:-1] & neg[1:]) | (neg[:-1] & pos[1:])),
-                         Z.shape[1])
-        f = Z[i, k] / (Z[i, k] - Z[i + 1, k])
-        T = np.concatenate([T, T[i] + f * (T[i + 1] - T[i])])
-        Z = np.concatenate([Z, Z[i] + f[:, None] * (Z[i + 1] - Z[i])])
-        order = np.argsort(T, kind="stable")
-        T, Z = T[order], Z[order]
+        # flat index i * width + k of each strict sign change of unit k
+        # between points i and i + 1
+        flat = ((pos[:-1] & neg[1:]) | (neg[:-1] & pos[1:])).ravel().nonzero()[0]
+        if flat.size:
+            zf = Z.ravel()
+            z0 = zf[flat]
+            f = z0 / (z0 - zf[width:][flat])
+            i = flat // width
+            # T[i] + f * (T[i+1] - T[i]), and the same on Z's rows, in place
+            Ti, Zi = T[i], Z.take(i, axis=0)
+            Tn, Zn = T[1:][i], Z[1:].take(i, axis=0)
+            Tn -= Ti
+            Tn *= f
+            Tn += Ti
+            Zn -= Zi
+            Zn *= f[:, None]
+            Zn += Zi
+            T = np.concatenate((T, Tn))
+            order = np.argsort(T, kind="stable")
+            T, Z = T[order], np.concatenate((Z, Zn)).take(order, axis=0)
         A = np.maximum(Z, 0.0, out=Z)
     w, b = layers[-1]
-    return T, (A @ w[0] + b[0]) * net.y_scale + net.y_mean
+    Q = A @ w[0]
+    Q += b[0]
+    Q *= net.y_scale
+    Q += net.y_mean
+    return T, Q
 
 
 def _read_tau_line(net: DenseNet, cond, taus=None):
@@ -90,7 +109,8 @@ def _read_tau_line(net: DenseNet, cond, taus=None):
         T, Q = _tau_line(net, cond)
         if taus is None:
             # each piece's mean value as a convex combination: finite Q cannot overflow
-            out = float(np.sum(np.diff(T) * (0.5 * Q[:-1] + 0.5 * Q[1:])))
+            h = 0.5 * Q
+            out = float(np.add.reduce((T[1:] - T[:-1]) * (h[:-1] + h[1:])))
             finite = math.isfinite(out)
         else:
             out = np.interp(taus, T, Q)

@@ -91,6 +91,8 @@ class DenseNet:
         if not (np.all(np.isfinite(self.x_scale) & (self.x_scale > 0))
                 and np.isfinite(self.y_scale) and self.y_scale > 0):
             raise ValueError("standardization scales must be positive and finite")
+        self._layers = tuple(_kernels.layer_views(self.params, self._sizes,
+                                                  self._w_offs, self._b_offs))
 
     @classmethod
     def initialized(cls, layer_sizes, seed=0):
@@ -108,10 +110,10 @@ class DenseNet:
     def input_dim(self) -> int:
         return self.layer_sizes[0]
 
-    def layers(self) -> list:
-        """(weights (out, in), biases) views of each layer into `params`."""
-        return list(_kernels.layer_views(self.params, self._sizes, self._w_offs,
-                                         self._b_offs))
+    def layers(self) -> tuple:
+        """(weights (out, in), biases) views of each layer into `params`,
+        made once at construction."""
+        return self._layers
 
     def predict(self, X) -> np.ndarray:
         """Batch evaluation in the original data scale."""
@@ -218,33 +220,36 @@ def train(net: DenseNet, X, y, tau, config: TrainConfig = None):
     best_params = params.copy()
     since_best = 0
 
-    for epoch in range(config.max_epochs):
-        order = rng.permutation(n_train)
-        loss_sum = 0.0
-        for start in range(0, n_train, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            loss, grads = _kernels.loss_grad_batch(params, sizes, w_offs, b_offs,
-                                                   Xt[idx], yt[idx], tt[idx])
-            step += 1
-            # Adam's beta1, beta2 and epsilon are fixed at the usual values
-            _adam_update_inplace(params, m, v, step, grads, config.learning_rate,
-                                 0.9, 0.999, 1e-8)
-            loss_sum += loss * idx.size
-        val_loss = _pinball_mean(params, sizes, w_offs, b_offs, Xv, yv, tv)
-        if not (math.isfinite(loss_sum) and math.isfinite(val_loss)):
-            raise NumericError(f"training diverged at epoch {epoch}: training loss "
-                               f"{loss_sum / n_train}, validation loss {val_loss}")
-        history.train_loss.append(loss_sum / n_train)
-        history.val_loss.append(val_loss)
-        if val_loss < best_val:
-            best_val = val_loss
-            best_params = params.copy()
-            history.best_epoch = epoch
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= config.patience:
-                break
+    # a diverging run overflows on its way to the NumericError below, which
+    # reports it; finite steps raise no flag
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.max_epochs):
+            order = rng.permutation(n_train)
+            loss_sum = 0.0
+            for start in range(0, n_train, config.batch_size):
+                idx = order[start:start + config.batch_size]
+                loss, grads = _kernels.loss_grad_batch(params, sizes, w_offs, b_offs,
+                                                       Xt[idx], yt[idx], tt[idx])
+                step += 1
+                # Adam's beta1, beta2 and epsilon are fixed at the usual values
+                _adam_update_inplace(params, m, v, step, grads, config.learning_rate,
+                                     0.9, 0.999, 1e-8)
+                loss_sum += loss * idx.size
+            val_loss = _pinball_mean(params, sizes, w_offs, b_offs, Xv, yv, tv)
+            if not (math.isfinite(loss_sum) and math.isfinite(val_loss)):
+                raise NumericError(f"training diverged at epoch {epoch}: training loss "
+                                   f"{loss_sum / n_train}, validation loss {val_loss}")
+            history.train_loss.append(loss_sum / n_train)
+            history.val_loss.append(val_loss)
+            if val_loss < best_val:
+                best_val = val_loss
+                best_params = params.copy()
+                history.best_epoch = epoch
+                since_best = 0
+            else:
+                since_best += 1
+                if since_best >= config.patience:
+                    break
     history.stopped_epoch = len(history.train_loss) - 1
 
     trained = DenseNet(layer_sizes=net.layer_sizes, params=best_params,

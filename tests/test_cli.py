@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -149,9 +150,12 @@ def test_train_divergence_exits_2(tmp_path, portfolio_table, capsys):
     cfg.write_text(json.dumps({"train": {"learning_rate": 1e300, "max_epochs": 5,
                                          "patience": 2}}))
     capsys.readouterr()
-    with np.errstate(all="ignore"):
+    # the overflow on the way to the divergence is reported once, as the error
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
         assert main(["train", "--table", str(portfolio_table / "table.csv"),
                      "--config", str(cfg), "--out", str(tmp_path / "train")]) == 2
+    assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
     err = capsys.readouterr().err.strip().splitlines()
     assert err == [err[0]] and "diverged at epoch 0" in err[0]
     assert not (tmp_path / "train" / "net.json").exists()

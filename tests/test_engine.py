@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -18,7 +19,7 @@ from quantmeu.engine import (_BLOCK_UNIFORMS, QuantileNet,
                              build_training_table, posterior_sample,
                              train_posterior_net, train_utility_net)
 from quantmeu.models import RandomSource, cara_utility, portfolio_wealth
-from quantmeu.net import TrainConfig
+from quantmeu.net import TrainConfig, load_net
 from quantmeu.presets import (build_normal_normal, build_portfolio,
                               decision_grid, portfolio_model_spec)
 from quantmeu.tables import TrainingTable
@@ -582,6 +583,89 @@ def test_interpolated_tau_line_with_duplicated_units(seed, root):
     want = net.predict(line_inputs(cond, taus))
     got = np.interp(taus, T, Q)
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
+
+
+def tau_line_oracle(net, cond):
+    """_tau_line as it was before its walk was trimmed: 2-D indexing, one
+    concatenate and sort per layer whether or not a root was found, and
+    new rows built as T[i] + f * (T[i+1] - T[i]) in fresh arrays."""
+    cond = np.asarray(cond, dtype=np.float64).reshape(-1)
+    T = np.array([0.0, 1.0])
+    A = np.empty((2, net.input_dim))
+    A[:, :-1] = cond
+    A[:, -1] = T
+    A = (A - net.x_mean) / net.x_scale
+    layers = net.layers()
+    for w, b in layers[:-1]:
+        Z = A @ w.T
+        Z += b
+        pos, neg = Z > 0.0, Z < 0.0
+        i, k = np.divmod(np.flatnonzero((pos[:-1] & neg[1:]) | (neg[:-1] & pos[1:])),
+                         Z.shape[1])
+        f = Z[i, k] / (Z[i, k] - Z[i + 1, k])
+        T = np.concatenate([T, T[i] + f * (T[i + 1] - T[i])])
+        Z = np.concatenate([Z, Z[i] + f[:, None] * (Z[i + 1] - Z[i])])
+        order = np.argsort(T, kind="stable")
+        T, Z = T[order], Z[order]
+        A = np.maximum(Z, 0.0, out=Z)
+    w, b = layers[-1]
+    return T, (A @ w[0] + b[0]) * net.y_scale + net.y_mean
+
+
+def assert_walks_as_oracle(net, cond):
+    want = tau_line_oracle(net, cond)
+    got = engine._tau_line(net, cond)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    T, Q = want
+    # the integral as it was summed before
+    integral = float(np.sum(np.diff(T) * (0.5 * Q[:-1] + 0.5 * Q[1:])))
+    assert engine._read_tau_line(net, cond) == integral
+
+
+def small_integer_net(draw_seed, cond_dim, widths):
+    # weights, biases, inputs and x_mean in {-2, ..., 2}: units that are
+    # exactly 0 at a point, several units with one root, and equal
+    # neighbours in T
+    r = np.random.default_rng(draw_seed)
+    sizes = (cond_dim + 1,) + tuple(widths) + (1,)
+    n_params = sum((a + 1) * b for a, b in zip(sizes[:-1], sizes[1:]))
+    net = DenseNet(sizes, r.integers(-2, 3, size=n_params).astype(float),
+                   x_mean=r.integers(-1, 2, size=cond_dim + 1).astype(float))
+    return net, r.integers(-2, 3, size=cond_dim).astype(float)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), cond_dim=st.integers(1, 2),
+       widths=st.lists(st.integers(1, 16), min_size=1, max_size=3),
+       small=st.booleans())
+def test_tau_line_walks_as_the_oracle_bytes(seed, cond_dim, widths, small):
+    if small:
+        net, cond = small_integer_net(seed, cond_dim, widths)
+    else:
+        net, r = random_net(seed, cond_dim, widths)
+        cond = r.normal(size=cond_dim)
+    assert_walks_as_oracle(net, cond)
+
+
+def test_small_integer_nets_reach_the_ties_the_oracle_covers():
+    # the small-integer strategy above does give exact zeros and ties in T
+    zeros = ties = 0
+    for seed in range(200):
+        net, cond = small_integer_net(seed, 1, [8, 8])
+        T, _ = engine._tau_line(net, cond)
+        ties += np.any(np.diff(T) == 0.0)
+        w, b = net.layers()[0]
+        x = (np.array([cond[0], 0.0]) - net.x_mean) / net.x_scale
+        zeros += np.any(w @ x + b == 0.0)
+    assert ties >= 10 and zeros >= 10
+
+
+@pytest.mark.parametrize("fixture, lo, hi", [("portfolio_utility_net.json", 0.0, 1.0),
+                                            ("normal_normal_posterior_net.json", -6.0, 6.0)])
+def test_tau_line_walks_as_the_oracle_on_fixture_nets(fixture, lo, hi):
+    net = load_net(Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / fixture)
+    for c in np.linspace(lo, hi, 100):
+        assert_walks_as_oracle(net, [c])
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -284,6 +285,21 @@ def test_split_forward_raises_the_workers_error(monkeypatch):
     monkeypatch.undo()
     got = K.forward_batch(params, sz, w_offs, b_offs, X)
     assert got.tobytes() == _whole_pass(params, sz, w_offs, b_offs, X).tobytes()
+
+
+@needs_split
+def test_split_forward_keeps_the_callers_error_state():
+    # weights of 1e120 overflow by the third layer: the worker's half, too,
+    # ignores the overflow where the caller does
+    sz, w_offs, b_offs, params, X = make_case(53, PRODUCTION, 4096)[:5]
+    params = params * 1e120
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = K.forward_batch(params, sz, w_offs, b_offs, X)
+    assert seen == [] and not np.isfinite(out).any()
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        K.forward_batch(params, sz, w_offs, b_offs, X)
 
 
 def where_loss_grad(params, sizes, w_offs, b_offs, X, y, tau):

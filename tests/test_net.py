@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -208,13 +209,28 @@ def test_train_early_stopping_respects_patience():
     assert hist.stopped_epoch - hist.best_epoch >= 3
 
 
-def test_train_divergence_is_numeric_error():
-    # at this learning rate the first epoch's validation loss is nan
-    X, y, tau = linear_problem(n=300)
+def assert_diverges_at_epoch_0_without_a_warning(n, validation_fraction):
+    # at this learning rate the first epoch's validation loss is nan; the
+    # overflow on the way is reported only by the error
+    X, y, tau = linear_problem(n=n)
     Xt = np.column_stack([X[:, 0], tau])
-    cfg = TrainConfig(learning_rate=1e300, max_epochs=5, patience=2)
-    with np.errstate(all="ignore"), pytest.raises(NumericError, match="epoch 0"):
+    cfg = TrainConfig(learning_rate=1e300, max_epochs=5, patience=2,
+                      validation_fraction=validation_fraction)
+    with warnings.catch_warnings(record=True) as seen, \
+            pytest.raises(NumericError, match="epoch 0"):
+        warnings.simplefilter("always")
         train(DenseNet.initialized((2, 8, 1), seed=2), Xt, y, tau, cfg)
+    assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
+
+
+def test_train_divergence_is_numeric_error():
+    assert_diverges_at_epoch_0_without_a_warning(300, 0.1)
+
+
+def test_train_divergence_in_a_split_validation_pass_warns_nothing():
+    # one step per epoch, then a 3800-row validation pass that splits
+    # across two threads: the worker's half overflows too
+    assert_diverges_at_epoch_0_without_a_warning(4000, 0.95)
 
 
 def test_train_stores_standardization():
