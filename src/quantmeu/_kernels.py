@@ -6,35 +6,22 @@ Backward masks delta in place, as ReLU(z) > 0 iff z > 0, and writes each
 gradient into its view of the flat vector. Subgradients: ReLU'(0) = 0,
 pinball'(0) = tau.
 
-Row blocks: `_forward` runs its rows as consecutive blocks of
+Row blocks: `forward_batch` runs its rows as consecutive blocks of
 `_BLOCK_ROWS` rows, the last block taking the remainder (1024-2047 rows),
-and writes each block's output into one output vector. It holds at most
-two layers of one block at a time, so its memory does not grow with the
-row count. Each block starts a multiple of 1024 rows into its pass, and no
-block is shorter than 1024 rows unless the whole pass is, so the bytes
+and writes each block's output into one new output vector. It holds at
+most two layers of one block at a time, so its memory does not grow with
+the row count. Each block starts a multiple of 1024 rows into the pass, and
+no block is shorter than 1024 rows unless the whole pass is, so the bytes
 equal one whole pass's; a shorter tail block takes another OpenBLAS kernel
 path and gives other bytes. `loss_grad_batch` runs whole: its row sums
-would change bytes if cut.
-
-Two-thread forward: a batch of at least `_SPLIT_MIN_ROWS` rows is cut at
-the multiple of 64 nearest below its middle, and the halves run as two
-whole unsplit passes at once, one on a worker thread and one in the
-caller, each writing its half of one output vector. Each split sends the
-worker its job with a new answer queue, so no caller takes another's
-answer; both sides poll for `_POLL_S` before they block. A split starts a
-worker when there is none or its thread is not alive, as in a forked
-child. At one BLAS thread and with the cut on a 64-row boundary, a row's
-output does not depend on the rows that share its pass, so the bytes equal
-the unsplit pass's. `loss_grad_batch` never splits, and of the pipelines'
-passes only a full `repro` run's 10,000-row validation pass does.
+would change bytes if cut. Both run in the calling thread.
 
 BLAS thread policy: at import, OpenBLAS is set to one thread for the whole
 process, through `openblas_set_num_threads_local`; nothing here changes it
 again. A threaded OpenBLAS cuts the output layer's matrix-vector product
 (from about 7200 rows of 2-64-64-64-1) and some gradient products (1000
 and 1025 rows) by its thread count, so their bytes would depend on the
-host's cores. Where the symbol is missing nothing is set and nothing
-splits.
+host's cores. Where the symbol is missing nothing is set.
 
 Allocator policy: at import, glibc's mmap threshold is set to 32 MiB and its
 trim threshold to 64 MiB for the whole process, the ceilings its own sliding
@@ -54,9 +41,6 @@ weight matrix in row-major (out, in) order followed by the bias vector.
 from __future__ import annotations
 
 import ctypes
-import queue
-import threading
-import time
 
 import numpy as np
 
@@ -136,84 +120,19 @@ def _activations(params, sizes, w_offs, b_offs, X):
         yield a
 
 
-# `_forward`'s row block; the last block takes the remainder (see above)
+# `forward_batch`'s row block; the last block takes the remainder (see above)
 _BLOCK_ROWS = 1024
 
 
-def _forward(params, sizes, w_offs, b_offs, X, out):
-    """Net output per row of X written into out, one row block at a time."""
+def forward_batch(params, sizes, w_offs, b_offs, X):
+    """Net output per row of X, in one new vector, one row block at a time."""
     n = X.shape[0]
+    out = np.empty(n)
     starts = range(0, max(n - _BLOCK_ROWS, 0) + 1, _BLOCK_ROWS)
     for start, stop in zip(starts, [*starts[1:], n]):
         for a in _activations(params, sizes, w_offs, b_offs, X[start:stop]):
             pass
         out[start:stop] = a[:, 0]
-    return out
-
-
-# Split/unsplit time per call on a 2-vCPU host, 2-64-64-64-1, both at one
-# BLAS thread, measured on whole passes before row blocks (medians over 8
-# processes): 1024 rows 0.78, 3072 0.56, 4096 0.55, 10,000 0.56. No pipeline
-# pass but a full `repro` run's 10,000-row validation pass reaches this bound.
-_SPLIT_MIN_ROWS = 3072
-_SPLIT_ALIGN = 64
-# Both sides of a split poll for this long before they block: waking a
-# blocked thread is slow on a shared 2-vCPU host, and polling took an
-# EU-like loop of 4096-row passes from 0.85-0.94x of the unsplit time to
-# 0.77-0.90x. About two EU queries' worth of time.
-_POLL_S = 0.005
-_worker = None  # (thread, job queue)
-
-
-def _next(q):
-    """The next item of q: poll for _POLL_S, then block."""
-    deadline = time.monotonic() + _POLL_S
-    while time.monotonic() < deadline:
-        try:
-            return q.get_nowait()
-        except queue.Empty:
-            time.sleep(0)
-    return q.get()
-
-
-def _serve(jobs):
-    """The worker thread: runs one unsplit pass per job, under the caller's
-    floating-point error handling, into the job's output vector and puts
-    that, or the error it raised, on the job's answer queue."""
-    while True:
-        err, *job, answer = _next(jobs)
-        try:
-            with np.errstate(**err):
-                answer.put(_forward(*job))
-        except Exception as exc:  # raised again in the caller
-            answer.put(exc)
-
-
-def forward_batch(params, sizes, w_offs, b_offs, X):
-    """Net output per row of X, in one new vector; a large X runs as two
-    unsplit passes at once, each writing its row half of that vector."""
-    global _worker
-    n = X.shape[0]
-    out = np.empty(n)
-    if n < _SPLIT_MIN_ROWS or _set_blas_threads is None:
-        return _forward(params, sizes, w_offs, b_offs, X, out)
-    worker = _worker
-    # a forked child sees the parent's worker thread as stopped
-    if worker is None or not worker[0].is_alive():
-        jobs = queue.SimpleQueue()
-        thread = threading.Thread(target=_serve, args=(jobs,), name="quantmeu-forward",
-                                  daemon=True)
-        thread.start()
-        worker = _worker = (thread, jobs)
-    cut = n // 2 // _SPLIT_ALIGN * _SPLIT_ALIGN
-    answer = queue.SimpleQueue()
-    worker[1].put((np.geterr(), params, sizes, w_offs, b_offs, X[:cut], out[:cut], answer))
-    try:
-        _forward(params, sizes, w_offs, b_offs, X[cut:], out[cut:])
-    finally:
-        top = _next(answer)
-    if isinstance(top, Exception):
-        raise top
     return out
 
 

@@ -228,8 +228,8 @@ def test_train_divergence_is_numeric_error():
 
 
 def test_train_divergence_in_a_split_validation_pass_warns_nothing():
-    # one step per epoch, then a 3800-row validation pass that splits
-    # across two threads: the worker's half overflows too
+    # one step per epoch, then a 3800-row validation pass that runs as
+    # three row blocks: every block overflows under train's error state
     assert_diverges_at_epoch_0_without_a_warning(4000, 0.95)
 
 
