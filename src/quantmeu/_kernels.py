@@ -25,14 +25,15 @@ host's cores. Where the symbol is missing nothing is set.
 
 Allocator policy: at import, glibc's mmap threshold is set to 32 MiB and its
 trim threshold to 64 MiB for the whole process, the ceilings its own sliding
-threshold reaches on 64-bit. By default glibc serves each freed 0.5-2 MB
-layer array from mmap, or trims it off the heap top, until it has seen a
-larger free, and the next pass faults every page back in: 873-1009 minor
-faults per 4096-row forward pass of 2-64-64-64-1 and 133-148 per 256-row
-loss and gradient, against 0-4 with the thresholds set (forward 4.4-5.1 ms
--> 2.9-3.0 ms on a 2-vCPU host). Per-layer buffers kept here lost: they
-gained less and raised normal-normal peak RSS by 4.9-8.7%. Where mallopt is
-missing nothing is set.
+threshold reaches on 64-bit. By default glibc serves each block of 128 KiB
+or more from mmap and unmaps it when freed, or trims a freed block off the
+heap top, until it has seen a larger free, and the next use faults every
+page back in. The blocks allocated over and over are the table builder's
+(2**15 uniforms, 256 KiB) and training's layer arrays. On normal-normal's preset at 10,000 rows, 2-vCPU
+host: simulating the table took 5346 minor faults without the thresholds
+and 0 with them (66-77 ms -> 59-61 ms), a 30-epoch train 6540 and 0.
+Per-layer buffers kept here lost: they gained less and raised normal-normal
+peak RSS by 4.9-8.7%. Where mallopt is missing nothing is set.
 
 Parameters are stored as one flat float64 vector: for each layer, the
 weight matrix in row-major (out, in) order followed by the bias vector.

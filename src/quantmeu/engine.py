@@ -22,7 +22,9 @@ from .net import DenseNet, TrainConfig
 from .tables import TrainingTable, write_csv, write_json
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_BLOCK_UNIFORMS = 2 ** 16   # bounds the memory of one block's forward draws
+# bounds the memory of one block's forward draws; on normal-normal's 10,000
+# row table 2**15 simulates as fast as 2**16 with half the block memory
+_BLOCK_UNIFORMS = 2 ** 15
 
 
 @dataclass

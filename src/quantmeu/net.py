@@ -191,9 +191,6 @@ def train(net: DenseNet, X, y, tau, config: TrainConfig = None):
     else:
         y_scale = y_std
 
-    Xs = (X - x_mean) / x_scale
-    ys = (y - y_mean) / y_scale
-
     n = X.shape[0]
     rng = np.random.default_rng(config.seed)
     perm = rng.permutation(n)
@@ -203,10 +200,20 @@ def train(net: DenseNet, X, y, tau, config: TrainConfig = None):
         val_idx, tr_idx = perm[:n_val], perm[n_val:]
     else:
         val_idx, tr_idx = perm, perm
-    Xv = Xs[val_idx]
-    yv, tv = ys[val_idx], tau[val_idx]
-    Xt = Xs[tr_idx]
-    yt, tt = ys[tr_idx], tau[tr_idx]
+
+    def split(idx):
+        # each split is standardised on its own copy, so no standardised copy
+        # of the whole table lives through the epoch loop
+        Xi, yi = X[idx], y[idx]
+        Xi -= x_mean
+        Xi /= x_scale
+        yi -= y_mean
+        yi /= y_scale
+        return Xi, yi, tau[idx]
+
+    Xv, yv, tv = split(val_idx)
+    Xt, yt, tt = split(tr_idx)
+    del perm, val_idx, tr_idx
     n_train = Xt.shape[0]
 
     sizes, w_offs, b_offs = net._sizes, net._w_offs, net._b_offs

@@ -17,12 +17,14 @@ from .errors import DomainError
 
 _SQRT2 = math.sqrt(2.0)
 
-_erfc_vec = np.vectorize(math.erfc, otypes=[np.float64])
-
 
 def normal_cdf(x):
     """Phi(x) for scalar or array x; a scalar comes back as a float."""
-    out = 0.5 * _erfc_vec(-np.asarray(x, dtype=np.float64) / _SQRT2)
+    z = -np.asarray(x, dtype=np.float64) / _SQRT2
+    # fills one float64 array element by element, with no object array or
+    # list of Python floats in between
+    out = np.fromiter(map(math.erfc, z.flat), np.float64, z.size).reshape(z.shape)
+    out *= 0.5
     return float(out) if np.ndim(x) == 0 else out
 
 

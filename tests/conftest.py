@@ -15,6 +15,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -36,6 +37,17 @@ _PORTFOLIO = pytest.StashKey()
 
 def record_acceptance(line: str) -> None:
     ACCEPTANCE_LINES.append(line)
+
+
+def peak_bytes(fn):
+    """Peak traced bytes of one call."""
+    fn()  # first-call allocations are not the call's own
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _start_portfolio(config):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import peak_bytes
 from quantmeu import (DenseNet, ModelSpec, NormalNormalModel,
                       PortfolioProblem, expected_utility, get_preset,
                       normal_quantile, optimize_decision, summary_mean)
@@ -302,6 +303,15 @@ def test_table_default_blocks_match_per_row_reference(sorted_pairing, seed, size
     rows = _BLOCK_UNIFORMS // preset_draws("normal-normal")
     assert_matches_per_row_reference("normal-normal", around(rows, size), seed,
                                      sorted_pairing)
+
+
+def test_table_blocks_bound_simulate_memory():
+    # normal-normal's 101 uniforms a row make 324-row blocks of 2**15
+    # uniforms; its 10,000-row table peaked at 1.68 MiB with them and at
+    # 3.21 MiB with blocks of 2**16
+    spec = build_normal_normal(get_preset("normal-normal")).spec()
+    peak = peak_bytes(lambda: build_training_table(spec, N=10_000, rng=RandomSource(2061)))
+    assert peak <= 2.0 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ import os
 import platform
 import subprocess
 import sys
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import peak_bytes
 from quantmeu import _kernels as K
 
 
@@ -110,17 +110,6 @@ def test_grad_not_aliased_across_calls():
     np.testing.assert_array_equal(params, kept)
 
 
-def _peak_bytes(fn):
-    """Peak traced bytes of one call."""
-    fn()  # first-call allocations are not the kernel's
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_kernels_allocate_one_array_per_layer():
     # 2-64-64-64-1. The forward pass runs row blocks of 1024-2047 rows and
     # holds two layers' outputs at a time, so beside its output vector it
@@ -135,10 +124,10 @@ def test_kernels_allocate_one_array_per_layer():
     block = 2047 * 64 * 8
     for n in (4095, 4096, 10_000, 65_536):
         sz, w_offs, b_offs, params, X, y, tau = make_case(19, PRODUCTION, n)
-        fwd = _peak_bytes(lambda: K.forward_batch(params, sz, w_offs, b_offs, X))
+        fwd = peak_bytes(lambda: K.forward_batch(params, sz, w_offs, b_offs, X))
         assert fwd <= 2.25 * block + 8 * n
     sz, w_offs, b_offs, params, X, y, tau = make_case(19, PRODUCTION, 4096)
-    bwd = _peak_bytes(lambda: K.loss_grad_batch(params, sz, w_offs, b_offs, X, y, tau))
+    bwd = peak_bytes(lambda: K.loss_grad_batch(params, sz, w_offs, b_offs, X, y, tau))
     assert bwd <= 6.0 * 4096 * 64 * 8
 
 

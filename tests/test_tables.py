@@ -3,13 +3,13 @@ the block reader against the whole-file reader it replaced."""
 
 import csv
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import peak_bytes
 from quantmeu.presets import PORTFOLIO
 from quantmeu.repro import ExperimentConfig, simulate_table
 from quantmeu.tables import CSV_HEADER, TrainingTable, write_csv
@@ -285,17 +285,6 @@ def test_from_csv_errors_match_whole_file_reader(tmp_path, edits, message):
     assert_reads_as_oracle(path)
 
 
-def _peak_bytes(fn):
-    """Peak traced bytes of one call."""
-    fn()  # first-call allocations are not the call's own
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_csv_round_trip_memory_grows_with_values_not_cells(tmp_path):
     # From 4,096 to 32,768 utility rows the five columns grow by 8 bytes per
     # value. Block reading and writing grew by 1.02 and 0.002 times that; the
@@ -305,8 +294,8 @@ def test_csv_round_trip_memory_grows_with_values_not_cells(tmp_path):
     for n in (4096, 32_768):
         t = utility_table(n, seed=5)
         path = tmp_path / f"{n}.csv"
-        peaks[n] = (_peak_bytes(lambda: t.to_csv(path)),
-                    _peak_bytes(lambda: TrainingTable.from_csv(path)))
+        peaks[n] = (peak_bytes(lambda: t.to_csv(path)),
+                    peak_bytes(lambda: TrainingTable.from_csv(path)))
     values = 5 * 8 * (32_768 - 4096)
     write_growth = peaks[32_768][0] - peaks[4096][0]
     read_growth = peaks[32_768][1] - peaks[4096][1]
