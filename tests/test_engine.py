@@ -19,7 +19,8 @@ from quantmeu import engine
 from quantmeu.engine import (_BLOCK_UNIFORMS, QuantileNet,
                              build_training_table, posterior_sample,
                              train_posterior_net, train_utility_net)
-from quantmeu.models import RandomSource, cara_utility, portfolio_wealth
+from quantmeu.models import (RandomSource, UtilitySpec, cara_utility,
+                             portfolio_wealth)
 from quantmeu.net import TrainConfig, load_net
 from quantmeu.presets import (build_normal_normal, build_portfolio,
                               decision_grid, portfolio_model_spec)
@@ -209,6 +210,120 @@ def test_table_sorted_pairing_two_column_summary():
         np.testing.assert_array_equal(np.sort(paired.tau[idx]), np.sort(plain.tau[idx]))
         np.testing.assert_array_equal(np.argsort(np.argsort(paired.tau[idx])),
                                       np.argsort(np.argsort(paired.theta[idx])))
+
+
+def lexsort_pairing(table):
+    """The unpaired table's tau re-paired by two stable lexsorts: the oracle
+    for sorted pairing."""
+    if table.has_utility:
+        keys, target = (table.decision,), table.utility
+    else:
+        keys, target = tuple(table.summary.T), table.theta
+    tau = table.tau.copy()
+    tau[np.lexsort((target,) + keys)] = tau[np.lexsort((tau,) + keys)]
+    return tau
+
+
+def assert_pairing_matches_lexsort(build):
+    plain, paired = build(False), build(True)
+    for col in ("theta", "summary", "decision", "utility"):
+        a, b = getattr(plain, col), getattr(paired, col)
+        assert (a is None and b is None) or a.tobytes() == b.tobytes()
+    assert paired.tau.tobytes() == lexsort_pairing(plain).tobytes()
+
+
+# decision grid values, both zeros among them, so decisions tie everywhere
+TIED = st.sampled_from([-0.0, 0.0, 0.5, 1.0])
+
+
+def small_integer_utility():
+    # targets in {-1, 0, 1, 2}: ties inside every decision
+    def evaluate(d, theta):
+        return np.floor(np.clip(theta, -1.0, 2.0)) + 0.0 * d
+
+    return UtilitySpec(evaluate=evaluate, decision_domain=(0.0, 1.0))
+
+
+def discrete_summary_model(columns):
+    # theta in {0, 1, 2}; each summary column in {-0.0, 0.0, 1.0, 2.0}
+    def sample(U):
+        return np.floor(3.0 * U[:, 0]), U[:, 1:]
+
+    def summary(Y):
+        return np.where(Y < 0.25, -0.0, np.floor(3.0 * Y))
+
+    return ModelSpec(sample=sample, summary=summary, n_obs=columns,
+                     draws=1 + columns)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), N=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1))
+def test_sorted_pairing_matches_lexsort_with_ties(data, N, seed):
+    if data.draw(st.booleans(), label="utility"):
+        grid = data.draw(st.lists(TIED, min_size=1, max_size=6), label="grid")
+
+        def build(sorted_pairing):
+            return build_training_table(identity_model(), utility=small_integer_utility(),
+                                        decisions=grid, N=N, rng=RandomSource(seed),
+                                        sorted_pairing=sorted_pairing)
+    else:
+        model = discrete_summary_model(data.draw(st.integers(1, 3), label="columns"))
+
+        def build(sorted_pairing):
+            return build_training_table(model, N=N, rng=RandomSource(seed),
+                                        sorted_pairing=sorted_pairing)
+    assert_pairing_matches_lexsort(build)
+
+
+@settings(max_examples=100, deadline=None)
+@given(N=st.integers(1, 400), values=st.integers(1, 8), groups=st.integers(1, 8),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_grouped_order_is_lexsort_on_ties(N, values, groups, seed):
+    # tau from RandomSource practically never ties, so this is the test that
+    # reaches the tie-breaking of tau's order
+    rng = np.random.default_rng(seed)
+    v = rng.integers(0, values, N) * 0.5
+    v[rng.random(N) < 0.2] = -0.0
+    group = rng.integers(0, min(groups, N), N)
+    np.testing.assert_array_equal(engine._grouped_order(v, group),
+                                  np.lexsort((v, group)))
+
+
+def test_group_ids_compare_keys_as_floats():
+    a = np.array([0.0, -0.0, math.nan, 1.0, math.nan, 0.0])
+    b = np.array([2.0, 2.0, 3.0, 3.0, 3.0, 4.0])
+    np.testing.assert_array_equal(engine._group_ids((a,), 6), [0, 0, 2, 1, 2, 0])
+    np.testing.assert_array_equal(engine._group_ids((a, b), 6), [0, 0, 3, 2, 3, 1])
+    np.testing.assert_array_equal(engine._group_ids((), 3), [0, 0, 0])
+
+
+def test_sorted_pairing_without_summary_columns_is_one_group():
+    def sample(U):
+        return normal_quantile(U[:, 0]), U[:, 1:]
+
+    model = ModelSpec(sample=sample, summary=lambda Y: np.empty((Y.shape[0], 0)),
+                      n_obs=1, draws=2)
+    t = build_training_table(model, N=200, rng=RandomSource(6), sorted_pairing=True)
+    assert t.summary.shape == (200, 0)
+    np.testing.assert_array_equal(np.argsort(np.argsort(t.tau)),
+                                  np.argsort(np.argsort(t.theta)))
+
+
+def test_portfolio_preset_pairing_matches_lexsort():
+    assert_pairing_matches_lexsort(
+        lambda sorted_pairing: preset_table("portfolio", 100_000, 7002, sorted_pairing))
+
+
+def test_sorted_pairing_memory():
+    # the portfolio preset's 10,000-row table: 0.70 MiB with two lexsorts,
+    # 1.15 MiB with six row-index arrays alive in the pairing, 0.85 MiB now
+    config = get_preset("portfolio")
+    problem = build_portfolio(config)
+    spec = portfolio_model_spec(problem)
+    peak = peak_bytes(lambda: build_training_table(
+        spec, utility=problem.utility_spec(), decisions=decision_grid(config),
+        N=10_000, rng=RandomSource(7002), sorted_pairing=True))
+    assert peak <= 1.05 * 2 ** 20
 
 
 def per_row_table(preset, N, seed, sorted_pairing):
